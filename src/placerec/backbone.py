@@ -21,7 +21,7 @@ from .autodiff import Param, Tensor, frozen_region, region
 from .errors import ShapeError, ValidationError
 from .ops import add, concat_rows, gelu, layer_norm, linear, matmul, patchify
 
-# list of (N+1, d) token tensors [z_0 .. z_L]
+# list of (N+1, d) or (B, N+1, d) token tensors [z_0 .. z_L]
 IntermediateStack = list
 
 
@@ -121,13 +121,14 @@ def build_backbone(cfg: ViTConfig) -> Backbone:
 
 
 def patch_embed(image, bb: Backbone) -> Tensor:
-    """image (h, w, c) -> (N+1, d) tokens: class token at row 0, position
-    embeddings added to the patch tokens only."""
+    """image (h, w, c) -> (N+1, d) tokens, or a (B, h, w, c) batch -> (B, N+1, d):
+    class token at row 0, position embeddings added to the patch tokens only."""
     cfg = bb.cfg
     img = image if isinstance(image, Tensor) else Tensor(image)
     want = (cfg.image_size, cfg.image_size, cfg.channels)
-    if tuple(img.shape) != want:
-        raise ShapeError(f"image shape {tuple(img.shape)} does not match config {want}")
+    if img.ndim not in (3, 4) or tuple(img.shape[-3:]) != want:
+        raise ShapeError(f"image shape {tuple(img.shape)} does not match config {want}, "
+                         f"nor a batch (B, {', '.join(map(str, want))})")
     tok = matmul(patchify(img, cfg.patch_size), bb.w_patch)
     tok = add(tok, bb.pos_emb)
     return concat_rows([bb.cls_token, tok])
@@ -142,7 +143,8 @@ def encoder_block(z, blk: EncoderBlockParams) -> Tensor:
 
 
 def forward_collect(image, bb: Backbone, frozen: bool = True) -> IntermediateStack:
-    """All layer outputs [z_0 .. z_L], depth+1 entries.
+    """All layer outputs [z_0 .. z_L], depth+1 entries: (N+1, d) each for one
+    image, (B, N+1, d) for a (B, h, w, c) batch, which the ops broadcast over.
 
     frozen=True (the normal mode) runs the whole encoder inside a frozen
     region; frozen=False records it on the tape under the "backbone" region

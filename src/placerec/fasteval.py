@@ -8,9 +8,11 @@ ndarrays, with two structural shortcuts:
 - per-head attention projections are pre-merged into single (d, d) matrices
   (the softmax scale folded into the query side), so projections are one
   BLAS call each;
-- the forward is staged as y -> F -> o_0 .. o_L -> loss, and a probe for a
-  parameter recomputes only from the stage that parameter feeds, reusing
-  cached base-point values upstream (the poke cannot reach them).
+- the forward is staged as y -> F -> o_0 .. o_L -> loss, and inside each
+  decoder block down to the attention intermediates (projected heads,
+  softmax weights, merged context, residual sums); a probe recomputes only
+  what the poked parameter feeds and takes every other value from the
+  base-point cache (the poke cannot reach it).
 
 pipeline_gradcheck cross-checks this path against the op-built loss at the
 base point before trusting it; any drift between the two implementations
@@ -44,13 +46,20 @@ def _softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _lin(x, w):
+    # x (..., d) @ w (d, k) as one BLAS call over all leading axes
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[-1:])
+
+
 def _heads_split(y, heads):
     # (..., n, h*dh) -> (..., h, n, dh)
-    n, hdh = y.shape[-2], y.shape[-1]
-    y = y.reshape(y.shape[:-1] + (heads, hdh // heads))
-    if y.ndim == 3:
-        return y.transpose(1, 0, 2)
-    return y.transpose(0, 2, 1, 3)
+    return y.reshape(y.shape[:-1] + (heads, y.shape[-1] // heads)).swapaxes(-3, -2)
+
+
+def _heads_merge(y):
+    # (..., h, n, dh) -> (..., n, h*dh)
+    y = y.swapaxes(-3, -2)
+    return y.reshape(y.shape[:-2] + (-1,))
 
 
 class _FastMHA:
@@ -60,6 +69,12 @@ class _FastMHA:
         d = p.w_q.value.data.shape[1]
         self.qscale = 1.0 / np.sqrt(d // p.heads)
         self.merged = {id(w): self._merge_for(w) for w in (p.w_q, p.w_k, p.w_v)}
+        # intermediates a poke of each param leaves at their base-point values
+        self.untouched = {}
+        for ws, keep in (((p.w_q, p.b_q), ("kh", "vh")), ((p.w_k, p.b_k), ("qh", "vh")),
+                         ((p.w_v, p.b_v), ("probs",)), ((p.w_o, p.b_o), ("ctx",))):
+            for w in ws:
+                self.untouched[id(w)] = keep
 
     def _merge_for(self, w_param):
         # (heads, d, d_h) -> (d, heads*d_h); query side carries the 1/sqrt(d_h)
@@ -67,23 +82,30 @@ class _FastMHA:
         m = np.ascontiguousarray(w_param.value.data.transpose(1, 0, 2)).reshape(d, h * dh)
         return m * self.qscale if w_param is self.p.w_q else m
 
-    def __call__(self, q, kv):
-        p, h = self.p, self.heads
-        qf = q.reshape(-1, q.shape[-1])
-        qh = _heads_split((qf @ self.merged[id(p.w_q)]).reshape(q.shape),
-                          h) + p.b_q.value.data * self.qscale
-        kvf = kv.reshape(-1, kv.shape[-1])
-        kh = _heads_split((kvf @ self.merged[id(p.w_k)]).reshape(kv.shape),
-                          h) + p.b_k.value.data
-        vh = _heads_split((kvf @ self.merged[id(p.w_v)]).reshape(kv.shape),
-                          h) + p.b_v.value.data
-        ctx = _softmax(qh @ kh.swapaxes(-1, -2)) @ vh        # (..., h, n, dh)
-        if ctx.ndim == 3:
-            out = ctx.transpose(1, 0, 2)
-        else:
-            out = ctx.transpose(0, 2, 1, 3)
-        out = out.reshape(out.shape[:-2] + (-1,))
-        return out @ p.w_o.value.data + p.b_o.value.data
+    def _project(self, x, w, b):
+        return _heads_split(_lin(x, self.merged[id(w)]), self.heads) + b
+
+    def __call__(self, q, kv, reuse=None):
+        """(output, intermediates) of attention from q over kv.
+
+        The intermediates are qh, kh, vh (projected heads), probs (softmax
+        weights) and ctx (heads merged, before w_o). `reuse` holds base-point
+        values of some of them that the current poke cannot reach; they are
+        taken as they are and their inputs are not recomputed.
+        """
+        p = self.p
+        v = dict(reuse) if reuse else {}
+        if "ctx" not in v:
+            if "probs" not in v:
+                if "qh" not in v:
+                    v["qh"] = self._project(q, p.w_q, p.b_q.value.data * self.qscale)
+                if "kh" not in v:
+                    v["kh"] = self._project(kv, p.w_k, p.b_k.value.data)
+                v["probs"] = _softmax(v["qh"] @ v["kh"].swapaxes(-1, -2))
+            if "vh" not in v:
+                v["vh"] = self._project(kv, p.w_v, p.b_v.value.data)
+            v["ctx"] = _heads_merge(v["probs"] @ v["vh"])
+        return v["ctx"] @ p.w_o.value.data + p.b_o.value.data, v
 
 
 class FastPipeline:
@@ -104,12 +126,15 @@ class FastPipeline:
         agg = model.aggregator
         self.attn = {}
         self._merged_owner = {}
-        for blk in agg.blocks:
-            for ap in (blk.self_attn, blk.cross_attn):
+        self._attn_of = {}          # attention param -> (block index, side, module)
+        for i, blk in enumerate(agg.blocks):
+            for side, ap in (("self", blk.self_attn), ("cross", blk.cross_attn)):
                 fm = _FastMHA(ap)
                 self.attn[id(ap)] = fm
                 for w in (ap.w_q, ap.w_k, ap.w_v):
                     self._merged_owner[id(w)] = fm
+                for w in ap.params():
+                    self._attn_of[id(w)] = (i, side, fm)
         self._dirty = None
         self._dirty_ref = None
 
@@ -130,29 +155,65 @@ class FastPipeline:
             self.stage_of[id(p)] = 2 + self.n_blocks
 
         self._pack_mining(mining)
-        # base-point caches: y, F, and o after each block
+        # base-point caches: y, F, and o and the intermediates of each block
         self.base_y = self.adapted()
         self.base_f = self.f_tokens(self.base_y)
-        self.base_o = []
+        self.base_o, self.base_blocks = [], []
         o = agg.queries.value.data
         for i in range(self.n_blocks):
-            o = self.block(i, o, self.base_f)
+            o, inter = self.block(i, o, self.base_f)
             self.base_o.append(o)
+            self.base_blocks.append(inter)
+        self.reuse = {pid: self._reuse_for(pid) for pid in self.stage_of}
+
+    def _reuse_for(self, pid):
+        """Per block from the poked param's own on: the base-point block
+        intermediates the poke cannot reach (None for a block to recompute)."""
+        s = self.stage_of[pid]
+        if s >= 2 + self.n_blocks:
+            return []
+        if s < 2:
+            # F moves; block 0 keeps what comes from the queries alone
+            if self.n_blocks == 0:
+                return []
+            b0 = self.base_blocks[0]
+            return [{"q": b0["q"], "cross": {"qh": b0["cross"]["qh"]}}] + [None] * (self.n_blocks - 1)
+        # F is fixed, so every cross attention keeps its keys and values
+        kv = [{"cross": {k: b["cross"][k] for k in ("kh", "vh")}} for b in self.base_blocks]
+        i = s - 2
+        base, blk = self.base_blocks[i], self.model.aggregator.blocks[i]
+        if pid in self._attn_of:
+            _, side, fm = self._attn_of[pid]
+            keep = {k: base[side][k] for k in fm.untouched[pid]}
+            own = {"self": keep, **kv[i]} if side == "self" else {"q": base["q"], "cross": keep}
+        elif pid in (id(blk.ln1_g), id(blk.ln1_b)):
+            own = {"pre1": base["pre1"], **kv[i]}
+        elif pid in (id(blk.ln2_g), id(blk.ln2_b)):
+            own = {"pre2": base["pre2"]}
+        else:
+            own = kv[i]                             # the queries: block 0 from its input on
+        return [own] + kv[i + 1:]
 
     def _pack_mining(self, mining):
+        # t = coef * s + off over (2, B, L+1): side 0 the kept positives
+        # (coef -alpha), side 1 the kept negatives (coef beta), padding at
+        # -inf, and a last column fixed at t = 0 that holds the 1 of
+        # log(1 + sum exp(t)) and makes the shift max(0, max t) a plain max
+        cfg = self.cfg
         b = len(mining.pos)
-        lp = max(1, max((len(x) for x in mining.pos), default=1))
-        ln_ = max(1, max((len(x) for x in mining.neg), default=1))
-        self.pos_idx = np.zeros((b, lp), dtype=np.intp)
-        self.pos_mask = np.zeros((b, lp))
-        self.neg_idx = np.zeros((b, ln_), dtype=np.intp)
-        self.neg_mask = np.zeros((b, ln_))
-        for q in range(b):
-            self.pos_idx[q, :len(mining.pos[q])] = mining.pos[q]
-            self.pos_mask[q, :len(mining.pos[q])] = 1.0
-            self.neg_idx[q, :len(mining.neg[q])] = mining.neg[q]
-            self.neg_mask[q, :len(mining.neg[q])] = 1.0
+        width = max((len(x) for x in mining.pos + mining.neg), default=0) + 1
+        self.pair_idx = np.zeros((2, b, width), dtype=np.intp)
+        self.pair_coef = np.zeros((2, b, width))
+        self.pair_off = np.full((2, b, width), -np.inf)
+        self.pair_off[:, :, -1] = 0.0
+        for side, (kept, coef) in enumerate(((mining.pos, -cfg.alpha), (mining.neg, cfg.beta))):
+            for q in range(b):
+                k = len(kept[q])
+                self.pair_idx[side, q, :k] = kept[q]
+                self.pair_coef[side, q, :k] = coef
+                self.pair_off[side, q, :k] = -coef * cfg.lam
         self.rows = np.arange(b)[:, None]
+        self.pair_div = np.array([cfg.alpha, cfg.beta])[:, None]
 
     # forward stages -------------------------------------------------------
 
@@ -162,21 +223,32 @@ class FastPipeline:
         for i, f in enumerate(self.model.adapters):
             if i > 0:
                 y = y + self.layers[i + 1]
-            flat = y.reshape(-1, y.shape[-1])
-            y = (_gelu(flat @ f.w_d.value.data) @ f.w_u.value.data).reshape(y.shape) * s + y
+            y = _lin(_gelu(_lin(y, f.w_d.value.data)), f.w_u.value.data) * s + y
         return y
 
     def f_tokens(self, y):
         agg = self.model.aggregator
-        return ((y.reshape(-1, y.shape[-1]) @ agg.w1.value.data).reshape(y.shape)
-                + agg.b1.value.data)
+        return _lin(y, agg.w1.value.data) + agg.b1.value.data
 
-    def block(self, i, o_prev, f_tok):
+    def block(self, i, o_prev, f_tok, reuse=None):
+        """(output, intermediates) of decoder block i.
+
+        The intermediates are self and cross (attention intermediates, see
+        _FastMHA), pre1 and pre2 (residual sums before each layer norm) and
+        q (the cross-attention queries); `reuse` holds some of them to take
+        as they are.
+        """
         blk = self.model.aggregator.blocks[i]
-        fs = self.attn[id(blk.self_attn)]
-        fc = self.attn[id(blk.cross_attn)]
-        q = _ln(fs(o_prev, o_prev) + o_prev, blk.ln1_g.value.data, blk.ln1_b.value.data)
-        return _ln(fc(q, f_tok) + q, blk.ln2_g.value.data, blk.ln2_b.value.data)
+        r = dict(reuse) if reuse else {}
+        if "pre2" not in r:
+            if "q" not in r:
+                if "pre1" not in r:
+                    out, r["self"] = self.attn[id(blk.self_attn)](o_prev, o_prev, r.get("self"))
+                    r["pre1"] = out + o_prev
+                r["q"] = _ln(r["pre1"], blk.ln1_g.value.data, blk.ln1_b.value.data)
+            out, r["cross"] = self.attn[id(blk.cross_attn)](r["q"], f_tok, r.get("cross"))
+            r["pre2"] = out + r["q"]
+        return _ln(r["pre2"], blk.ln2_g.value.data, blk.ln2_b.value.data), r
 
     def head_loss(self, o) -> float:
         agg = self.model.aggregator
@@ -190,19 +262,22 @@ class FastPipeline:
         desc = flat / np.sqrt(np.square(flat).sum(axis=-1, keepdims=True))
         s = desc @ desc.T
 
-        cfg = self.cfg
-        tp = np.exp(-cfg.alpha * (s[self.rows, self.pos_idx] - cfg.lam)) * self.pos_mask
-        tn = np.exp(cfg.beta * (s[self.rows, self.neg_idx] - cfg.lam)) * self.neg_mask
-        per_q = (np.log1p(tp.sum(axis=1)) / cfg.alpha
-                 + np.log1p(tn.sum(axis=1)) / cfg.beta)
-        return float(per_q.sum() / s.shape[0])
+        # log(1 + sum exp(t)) per query and side, shifted by the row max as
+        # loss._lse1p does; the t = 0 column keeps that max >= 0
+        t = self.pair_coef * s[self.rows, self.pair_idx] + self.pair_off
+        m = t.max(axis=-1, keepdims=True)
+        lse = m[..., 0] + np.log(np.exp(t - m).sum(axis=-1))
+        return float((lse / self.pair_div).sum() / s.shape[0])
 
     def full_loss(self) -> float:
-        agg = self.model.aggregator
         f_tok = self.f_tokens(self.adapted())
-        o = agg.queries.value.data
-        for i in range(self.n_blocks):
-            o = self.block(i, o, f_tok)
+        return self._loss_from(0, f_tok, [None] * self.n_blocks)
+
+    def _loss_from(self, first, f_tok, reuses):
+        # blocks first.. with their reuse dicts, then the head
+        o = self.base_o[first - 1] if first > 0 else self.model.aggregator.queries.value.data
+        for i, reuse in zip(range(first, self.n_blocks), reuses):
+            o, _ = self.block(i, o, f_tok, reuse)
         return self.head_loss(o)
 
     # probing ---------------------------------------------------------------
@@ -225,10 +300,4 @@ class FastPipeline:
         y = self.base_y if s > 0 else self.adapted()
         f_tok = self.base_f if s > 1 else self.f_tokens(y)
         first = max(0, s - 2)
-        if s >= 2 and first > 0:
-            o = self.base_o[first - 1]
-        else:
-            o = self.model.aggregator.queries.value.data
-        for i in range(first, self.n_blocks):
-            o = self.block(i, o, f_tok)
-        return self.head_loss(o)
+        return self._loss_from(first, f_tok, self.reuse[pid])

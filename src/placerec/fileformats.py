@@ -165,14 +165,17 @@ def write_sidecar(path, ids, place_ids) -> None:
 
 def read_sidecar(path) -> tuple[list[str], list[int]]:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "id,place_id":
+        lines = [(ln, text.strip()) for ln, text in enumerate(fh, start=1) if text.strip()]
+    if not lines or lines[0][1] != "id,place_id":
         raise FormatError(f"{path}: sidecar must start with header 'id,place_id'")
     ids, places = [], []
-    for ln in lines[1:]:
-        i, _, p = ln.partition(",")
+    for ln, text in lines[1:]:
+        try:
+            i, p = text.split(",", 1)     # unpacking fails without a comma
+            places.append(int(p))
+        except ValueError:
+            raise FormatError(f"{path}: line {ln}: expected 'id,place_id', got {text!r}") from None
         ids.append(i)
-        places.append(int(p))
     return ids, places
 
 

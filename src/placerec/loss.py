@@ -35,7 +35,7 @@ def similarity_matrix(descriptors) -> Tensor:
     if d.ndim != 2:
         raise ShapeError(f"descriptors must be rank 2, got {d.shape}")
     norms = np.linalg.norm(d.data, axis=1)
-    bad = np.abs(norms - 1.0) > 1e-6
+    bad = ~(np.abs(norms - 1.0) <= 1e-6)     # NaN rows fail too
     if bad.any():
         q = int(np.argmax(bad))
         raise ContractError(f"descriptor row {q} has norm {norms[q]:.9f}, expected 1")

@@ -69,8 +69,21 @@ def named_params(model: DescriptorModel) -> dict:
 
 
 def feature_stack(model: DescriptorModel, image):
-    """Constant per-layer features [z_0 .. z_L] for one image."""
+    """Constant per-layer features [z_0 .. z_L] for one (h, w, c) image, or
+    (B, n, d) layers for a (B, h, w, c) batch in one encoder pass."""
     return forward_collect(image, model.backbone, frozen=True)
+
+
+def stack_images(images, names=None) -> np.ndarray:
+    """Same-shape images -> one (B, h, w, c) batch for `feature_stack`."""
+    arrs = [np.asarray(im, dtype=np.float64) for im in images]
+    if not arrs:
+        raise ShapeError("no images to stack")
+    for i, a in enumerate(arrs):
+        if a.shape != arrs[0].shape:
+            who = repr(names[i]) if names is not None else f"#{i}"
+            raise ShapeError(f"image {who} has shape {a.shape}, the batch has {arrs[0].shape}")
+    return np.stack(arrs)
 
 
 def batch_stacks(stacks) -> list:
@@ -132,7 +145,7 @@ def pipeline_gradcheck(model: DescriptorModel, images, place_ids,
     base selection is the differentiable branch being checked.
     """
     loss_cfg = model.run_cfg.loss
-    layers = batch_stacks([feature_stack(model, img) for img in images])
+    layers = feature_stack(model, stack_images(images))
     base = describe_stack(model, layers)
     mining = mine_pairs(similarity_matrix(base), place_ids, loss_cfg.margin)
     if mining.kept_pos == 0 and mining.kept_neg == 0:

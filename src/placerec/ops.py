@@ -250,23 +250,31 @@ def sum_all(x) -> Tensor:
 
 
 def concat_rows(parts) -> Tensor:
-    """Stack rank-2 tensors along axis 0."""
+    """Join tensors along the row (second-to-last) axis.
+
+    Leading batch axes broadcast, so a shared (1, d) row can head a
+    (B, n, d) batch; its gradient is summed back over the batch.
+    """
     ts = [as_tensor(p) for p in parts]
     if not ts:
         raise ShapeError("concat_rows needs at least one part")
-    for t in ts:
-        if t.ndim != 2 or t.shape[1] != ts[0].shape[1]:
-            raise ShapeError(f"concat_rows parts disagree: {[tuple(t.shape) for t in ts]}")
-    out = Tensor(np.concatenate([t.data for t in ts], axis=0))
+    shapes = [tuple(t.shape) for t in ts]
+    if any(len(sh) < 2 or sh[-1] != shapes[0][-1] for sh in shapes):
+        raise ShapeError(f"concat_rows parts disagree: {shapes}")
+    try:
+        lead = np.broadcast_shapes(*(sh[:-2] for sh in shapes))
+    except ValueError:
+        raise ShapeError(f"concat_rows leading axes do not broadcast: {shapes}") from None
+    out = Tensor(np.concatenate(
+        [np.broadcast_to(t.data, lead + sh[-2:]) for t, sh in zip(ts, shapes)], axis=-2))
     if taping():
         uids = [t.uid for t in ts]
-        sizes = [t.shape[0] for t in ts]
 
         def bwd(g, acc):
             o = 0
-            for uid, r in zip(uids, sizes):
-                acc(uid, g[o:o + r])
-                o += r
+            for uid, sh in zip(uids, shapes):
+                acc(uid, _unbroadcast(g[..., o:o + sh[-2], :], sh))
+                o += sh[-2]
 
         tape_record(out, bwd)
     else:
@@ -275,22 +283,25 @@ def concat_rows(parts) -> Tensor:
 
 
 def patchify(image, patch: int) -> Tensor:
-    """(h, w, c) image -> (num_patches, patch*patch*c); grid and pixels row-major."""
+    """(..., h, w, c) images -> (..., num_patches, patch*patch*c); grid and
+    pixels row-major."""
     x = as_tensor(image)
-    if x.ndim != 3:
-        raise ShapeError(f"patchify expects rank-3 (h, w, c) image, got {x.shape}")
-    h, w, c = x.shape
+    if x.ndim < 3:
+        raise ShapeError(f"patchify expects (..., h, w, c) images, got {x.shape}")
+    lead, (h, w, c) = tuple(x.shape[:-3]), x.shape[-3:]
     if h % patch or w % patch:
         raise ShapeError(f"image {h}x{w} not divisible by patch size {patch}")
     gh, gw = h // patch, w // patch
-    tiles = x.data.reshape(gh, patch, gw, patch, c).transpose(0, 2, 1, 3, 4)
-    out = Tensor(tiles.reshape(gh * gw, patch * patch * c))
+    k = len(lead)
+    perm = tuple(range(k)) + tuple(k + i for i in (0, 2, 1, 3, 4))
+    tiles = x.data.reshape(lead + (gh, patch, gw, patch, c)).transpose(perm)
+    out = Tensor(tiles.reshape(lead + (gh * gw, patch * patch * c)))
     if taping():
         xu = x.uid
 
         def bwd(g, acc):
-            t = g.reshape(gh, gw, patch, patch, c).transpose(0, 2, 1, 3, 4)
-            acc(xu, t.reshape(h, w, c))
+            t = g.reshape(lead + (gh, gw, patch, patch, c)).transpose(perm)
+            acc(xu, t.reshape(lead + (h, w, c)))
 
         tape_record(out, bwd)
     else:

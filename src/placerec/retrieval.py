@@ -3,7 +3,9 @@
 Descriptors are unit rows, so inner product is cosine similarity; search is
 a full matrix product with a deterministic tie-break by ascending id. At
 desk scale ground truth is place_id equality, with a query's own image id
-excluded from its candidates when the splits overlap.
+excluded from its candidates when the splits overlap. Scoring ranks every
+query at once from blocks of one similarity GEMM; `knn` is the single-query
+top-k view of the same order.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import fileformats
 from .errors import FormatError, ValidationError
-from .model import DescriptorModel, batch_stacks, describe_stack, feature_stack
+from .model import DescriptorModel, describe_stack, feature_stack, stack_images
 from .synth import Manifest, load_image
 
 
@@ -24,6 +26,20 @@ class DescriptorIndex:
     ids: list
     matrix: np.ndarray
     place_ids: list = None
+    # tie-break key: each row's position in ascending id order
+    id_rank: np.ndarray = field(init=False, repr=False)
+    row_of: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.id_rank = _id_rank(self.ids)
+        self.row_of = {iid: j for j, iid in enumerate(self.ids)}
+
+
+def _id_rank(ids) -> np.ndarray:
+    order = np.argsort(np.asarray(ids), kind="stable")
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return rank
 
 
 def build_index(ids, matrix, place_ids=None) -> DescriptorIndex:
@@ -34,7 +50,7 @@ def build_index(ids, matrix, place_ids=None) -> DescriptorIndex:
     if len(set(ids)) != len(ids):
         raise ValidationError("index ids must be unique")
     norms = np.linalg.norm(matrix, axis=1)
-    bad = np.abs(norms - 1.0) > 1e-5
+    bad = ~(np.abs(norms - 1.0) <= 1e-5)        # NaN rows fail too
     if bad.any():
         i = int(np.argmax(bad))
         raise ValidationError(f"index row {ids[i]!r} has norm {norms[i]:.8f}, expected 1")
@@ -52,16 +68,14 @@ def knn(index: DescriptorIndex, query, k: int, exclude_id=None) -> list:
     if q.shape[0] != index.matrix.shape[1]:
         raise ValidationError(
             f"query dim {q.shape[0]} != index dim {index.matrix.shape[1]}")
-    ids = np.asarray(index.ids)
-    scores = index.matrix @ q
-    if exclude_id is not None:
-        keep = ids != exclude_id
-        ids, scores = ids[keep], scores[keep]
-        n = int(keep.sum())
-    if not 1 <= k <= n:
-        raise ValidationError(f"k={k} out of range for {n} candidates")
-    order = np.lexsort((ids, -scores))
-    return ids[order[:k]].tolist()
+    rows = np.arange(n)
+    if exclude_id in index.row_of:
+        rows = np.delete(rows, index.row_of[exclude_id])
+    if not 1 <= k <= len(rows):
+        raise ValidationError(f"k={k} out of range for {len(rows)} candidates")
+    scores = index.matrix[rows] @ q
+    order = np.lexsort((index.id_rank[rows], -scores))
+    return [index.ids[j] for j in rows[order[:k]]]
 
 
 @dataclass
@@ -73,15 +87,22 @@ class EvalResult:
         return [f"R@{n} {self.recall_at[n]:.2f}" for n in sorted(self.recall_at)]
 
 
-def recall_at_n(ranked, gt, ns) -> EvalResult:
-    """ranked: per-query candidate id lists; gt: per-query positive id sets."""
-    if len(ranked) != len(gt):
-        raise ValidationError(f"{len(ranked)} ranked lists vs {len(gt)} ground-truth sets")
-    if not ranked:
+def _recall(ranks, ns) -> EvalResult:
+    """Recall@N (percent of queries whose first-correct rank is <= N)."""
+    if not ranks:
         raise ValidationError("no queries to score")
     ns = sorted(set(int(n) for n in ns))
     if not ns or ns[0] < 1:
         raise ValidationError(f"recall cutoffs must be >= 1, got {ns}")
+    q = len(ranks)
+    recall = {n: 100.0 * sum(1 for r in ranks if r is not None and r <= n) / q for n in ns}
+    return EvalResult(recall_at=recall, ranks=ranks)
+
+
+def recall_at_n(ranked, gt, ns) -> EvalResult:
+    """ranked: per-query candidate id lists; gt: per-query positive id sets."""
+    if len(ranked) != len(gt):
+        raise ValidationError(f"{len(ranked)} ranked lists vs {len(gt)} ground-truth sets")
     ranks = []
     for cand, pos in zip(ranked, gt):
         if not pos:
@@ -92,24 +113,27 @@ def recall_at_n(ranked, gt, ns) -> EvalResult:
                 first = i + 1
                 break
         ranks.append(first)
-    q = len(ranks)
-    recall = {n: 100.0 * sum(1 for r in ranks if r is not None and r <= n) / q for n in ns}
-    return EvalResult(recall_at=recall, ranks=ranks)
+    return _recall(ranks, ns)
 
 
 def extract_descriptors(model: DescriptorModel, manifest: Manifest, data_dir,
                         split: str, chunk: int = 32):
-    """Descriptors for one split: (ids, (n, D) matrix, place_ids)."""
+    """Descriptors for one split: (ids, (n, D) matrix, place_ids).
+
+    Each chunk of images is one batched encoder pass and one describe call.
+    """
     rows = manifest.split_rows(split)
     if not rows:
         raise ValidationError(f"split {split!r} is empty")
+    if chunk < 1:
+        raise ValidationError(f"chunk must be >= 1, got {chunk}")
     ids = [r.image_id for r in rows]
     place_ids = [r.place_id for r in rows]
     out = []
     for i in range(0, len(ids), chunk):
-        stacks = [[t.data for t in feature_stack(model, load_image(data_dir, iid))]
-                  for iid in ids[i:i + chunk]]
-        out.append(describe_stack(model, batch_stacks(stacks)).data)
+        part = ids[i:i + chunk]
+        images = stack_images([load_image(data_dir, iid) for iid in part], part)
+        out.append(describe_stack(model, feature_stack(model, images)).data)
     return ids, np.vstack(out), place_ids
 
 
@@ -122,20 +146,58 @@ def evaluate_model(model: DescriptorModel, manifest: Manifest, data_dir,
     return _score(index, q_ids, q_mat, q_places, ns)
 
 
+# query rows per similarity GEMM in first_correct_ranks
+RANK_BLOCK = 256
+
+
+def first_correct_ranks(index: DescriptorIndex, q_ids, q_mat, q_places) -> np.ndarray:
+    """Per query, the rank of its best database positive in the full
+    (descending score, ascending id) order, own id excluded.
+
+    That rank is 1 + the number of candidates that beat the best positive,
+    so no ranking is materialized: similarities come one GEMM per block of
+    query rows, and memory is O(block x N).
+    """
+    q_mat = np.asarray(q_mat, dtype=np.float64)
+    if q_mat.ndim != 2 or q_mat.shape[0] != len(q_ids):
+        raise ValidationError(f"query matrix {q_mat.shape} does not match {len(q_ids)} ids")
+    if q_mat.shape[1] != index.matrix.shape[1]:
+        raise ValidationError(
+            f"query dim {q_mat.shape[1]} != index dim {index.matrix.shape[1]}")
+    finite = np.isfinite(q_mat).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"query row {q_ids[int(np.argmin(finite))]!r} is not finite")
+    if index.place_ids is None:
+        raise ValidationError("scoring needs an index built with place ids")
+    n = len(index.ids)
+    db_places = np.asarray(index.place_ids)
+    q_places = np.asarray(q_places)
+    self_row = np.array([index.row_of.get(iid, n) for iid in q_ids], dtype=np.intp)
+    key = index.id_rank
+    ranks = np.empty(len(q_ids), dtype=np.intp)
+    for lo in range(0, len(q_ids), RANK_BLOCK):
+        hi = min(lo + RANK_BLOCK, len(q_ids))
+        s = q_mat[lo:hi] @ index.matrix.T
+        own = self_row[lo:hi]
+        inside = own < n                  # n marks a query absent from the db
+        cand = np.ones(s.shape, dtype=bool)
+        cand[np.flatnonzero(inside), own[inside]] = False
+        pos = cand & (q_places[lo:hi, None] == db_places[None, :])
+        missing = ~pos.any(axis=1)
+        if missing.any():
+            i = lo + int(np.argmax(missing))
+            raise ValidationError(
+                f"query {q_ids[i]!r} has no database positives (place {q_places[i]})")
+        best = np.where(pos, s, -np.inf).max(axis=1, keepdims=True)
+        best_key = np.where(pos & (s == best), key, n).min(axis=1, keepdims=True)
+        beats = (s > best) | ((s == best) & (key < best_key))
+        ranks[lo:hi] = 1 + (beats & cand).sum(axis=1)
+    return ranks
+
+
 def _score(index: DescriptorIndex, q_ids, q_mat, q_places, ns) -> EvalResult:
-    by_place: dict = {}
-    db_id_set = set(index.ids)
-    for iid, pl in zip(index.ids, index.place_ids):
-        by_place.setdefault(pl, set()).add(iid)
-    ranked, gt = [], []
-    for iid, vec, pl in zip(q_ids, q_mat, q_places):
-        pos = by_place.get(pl, set()) - {iid}
-        if not pos:
-            raise ValidationError(f"query {iid!r} has no database positives (place {pl})")
-        k = len(index.ids) - (1 if iid in db_id_set else 0)
-        ranked.append(knn(index, vec, k, exclude_id=iid))
-        gt.append(pos)
-    return recall_at_n(ranked, gt, ns)
+    ranks = first_correct_ranks(index, q_ids, q_mat, q_places)
+    return _recall(ranks.tolist(), ns)
 
 
 def read_gt_places(path) -> dict:

@@ -86,7 +86,10 @@ def train_step(model: DescriptorModel, stacks, place_ids,
     if not np.isfinite(val):
         raise NumericalError(
             f"training loss is not finite ({val}) on places {sorted(set(place_ids))}")
-    tape.backward(loss)
+    # with no mined pair the loss is the constant 0 and every gradient is
+    # zero, so the sweep is skipped; Adam still steps (its moments decay)
+    if mining.kept_pos or mining.kept_neg:
+        tape.backward(loss)
     opt.step()
     return StepResult(step=0, epoch=0, lr=opt.lr, loss=val,
                       kept_pos=mining.kept_pos, kept_neg=mining.kept_neg,

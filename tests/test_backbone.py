@@ -71,6 +71,26 @@ def test_forward_is_deterministic(rng):
         np.testing.assert_array_equal(za.data, zb.data)
 
 
+def test_batched_forward_matches_per_image_bit_for_bit(rng):
+    bb = build_backbone(CFG)
+    imgs = np.stack([image(rng) for _ in range(5)])
+    batched = forward_collect(Tensor(imgs), bb)
+    assert len(batched) == CFG.depth + 1
+    for i in range(len(imgs)):
+        single = forward_collect(Tensor(imgs[i]), bb)
+        for zb, zs in zip(batched, single):
+            assert zb.shape == (len(imgs),) + zs.shape
+            np.testing.assert_array_equal(zb.data[i], zs.data)
+
+
+def test_patch_embed_rejects_wrong_batch_shape(rng):
+    bb = build_backbone(CFG)
+    with pytest.raises(ShapeError):
+        patch_embed(Tensor(rng.normal(size=(2, 8, 4, 1))), bb)
+    with pytest.raises(ShapeError):
+        patch_embed(Tensor(rng.normal(size=(1, 2, 8, 8, 1))), bb)
+
+
 def test_frozen_run_retains_no_bytes(rng):
     bb = build_backbone(CFG)
     with Tape() as tape:

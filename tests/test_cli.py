@@ -126,6 +126,64 @@ def test_evaluate_dim_mismatch(ws, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _one_error_line(err: str) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("which", ["db", "query"])
+def test_evaluate_nan_row_exits_1(ws, tmp_path, capsys, which):
+    paths = {}
+    for split in ("db", "query"):
+        paths[split] = str(tmp_path / f"{split}.edtd")
+        mat = read_descriptors(ws[split])
+        if split == which:
+            mat[0, 0] = np.nan
+        write_descriptors(paths[split], mat)
+        ids, places = read_sidecar(ws[split] + ".csv")
+        write_sidecar(paths[split] + ".csv", ids, places)
+    capsys.readouterr()
+    assert main(["evaluate", "--query", paths["query"], "--db", paths["db"],
+                 "--gt", ws["gt"]]) == 1
+    want = "has norm nan" if which == "db" else "is not finite"
+    assert want in _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("record", ["p0000_v03,x", "p0000_v03"])
+def test_evaluate_bad_sidecar_exits_1(ws, tmp_path, capsys, record):
+    q = str(tmp_path / "q.edtd")
+    write_descriptors(q, read_descriptors(ws["query"])[:2])
+    with open(q + ".csv", "w") as fh:
+        fh.write(f"id,place_id\np0001_v03,1\n{record}\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--query", q, "--db", ws["db"], "--gt", ws["gt"]]) == 1
+    assert "line 3" in _one_error_line(capsys.readouterr().err)
+
+
+def test_extract_chunking_does_not_change_rows(ws):
+    from placerec.model import describe_image, load_model
+    from placerec.retrieval import extract_descriptors
+    from placerec.synth import load_image, read_manifest
+
+    model = load_model(ws["model"])
+    manifest = read_manifest(os.path.join(ws["data"], "manifest.csv"))
+    ids, one, _ = extract_descriptors(model, manifest, ws["data"], "train", chunk=1)
+    assert len(ids) % 5                     # a ragged last chunk
+    _, five, _ = extract_descriptors(model, manifest, ws["data"], "train", chunk=5)
+    np.testing.assert_array_equal(five, one)
+    single = np.stack([describe_image(model, load_image(ws["data"], i)).data for i in ids])
+    np.testing.assert_allclose(five, single, rtol=0, atol=1e-12)
+
+
+def test_gradcheck_large_beta(ws, tmp_path, capsys):
+    """The probe evaluator's loss shifts its exponent like ms_loss does."""
+    cfg = tmp_path / "beta.json"
+    cfg.write_text(json.dumps({**json.load(open(ws["run_cfg"])), "loss": {"beta": 800}}))
+    assert main(["gradcheck", "--config", str(cfg)]) == 0
+    assert "gradcheck pass" in capsys.readouterr().out
+
+
 def test_memreport(ws, capsys):
     assert main(["memreport", "--config", ws["run_cfg"]]) == 0
     lines = capsys.readouterr().out.splitlines()

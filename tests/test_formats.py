@@ -108,3 +108,11 @@ def test_sidecar_rejects_bad_header(tmp_path):
     p.write_text("foo,bar\na,1\n")
     with pytest.raises(FormatError):
         read_sidecar(p)
+
+
+@pytest.mark.parametrize("record", ["b,seven", "b"])
+def test_sidecar_bad_record_names_line(tmp_path, record):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"id,place_id\na,1\n\n{record}\n")
+    with pytest.raises(FormatError, match="line 4"):
+        read_sidecar(p)

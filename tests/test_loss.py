@@ -58,6 +58,11 @@ def test_similarity_rejects_non_unit_rows():
         similarity_matrix(Tensor([[3.0, 4.0], [1.0, 0.0]]))
 
 
+def test_similarity_rejects_nan_rows():
+    with pytest.raises(ContractError, match="row 1"):
+        similarity_matrix(Tensor([[1.0, 0.0], [np.nan, 0.0]]))
+
+
 # mining ---------------------------------------------------------------------
 
 def test_mining_separated_batch_keeps_nothing():

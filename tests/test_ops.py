@@ -213,6 +213,36 @@ def test_grad_concat_rows(rng):
     _check(lambda: sum_all(matmul(concat_rows([a.read(), b.read()]), w)), a, b)
 
 
+def test_concat_rows_broadcasts_shared_row_over_batch(rng):
+    head = rng.normal(size=(1, 3))
+    body = rng.normal(size=(2, 4, 3))
+    out = concat_rows([Tensor(head), Tensor(body)]).data
+    assert out.shape == (2, 5, 3)
+    for i in range(2):
+        np.testing.assert_array_equal(out[i], np.vstack([head, body[i]]))
+
+
+def test_grad_concat_rows_broadcast(rng):
+    a = Param(rng.normal(size=(1, 3)), name="a")
+    b = Param(rng.normal(size=(2, 2, 3)), name="b")
+    w = Tensor(rng.normal(size=(3, 1)))
+    _check(lambda: sum_all(gelu(matmul(concat_rows([a.read(), b.read()]), w))), a, b)
+
+
+def test_patchify_batch_matches_single(rng):
+    imgs = rng.normal(size=(3, 4, 6, 2))
+    out = patchify(Tensor(imgs), 2).data
+    assert out.shape == (3, 6, 8)
+    for i in range(3):
+        np.testing.assert_array_equal(out[i], patchify(Tensor(imgs[i]), 2).data)
+
+
+def test_grad_patchify_batch(rng):
+    x = Param(rng.normal(size=(2, 4, 4, 1)), name="x")
+    w = Tensor(rng.normal(size=(4, 2)))
+    _check(lambda: sum_all(gelu(matmul(patchify(x.read(), 2), w))), x)
+
+
 def test_grad_transpose_axes(rng):
     x = Param(rng.normal(size=(2, 3, 4)), name="x")
     _check(lambda: sum_all(scale(transpose_axes(x.read(), (1, 2, 0)), 0.5)), x)

@@ -1,14 +1,18 @@
 """Index, nearest-neighbor ranking, and Recall@N scoring."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from placerec import retrieval
 from placerec.errors import FormatError, ValidationError
 from placerec.retrieval import (
     EvalResult,
     build_index,
     evaluate_files,
+    first_correct_ranks,
     knn,
     read_gt_places,
     recall_at_n,
@@ -81,6 +85,90 @@ def test_build_index_validation(rng):
         build_index(["a", "b"], np.ones((2, 4)))  # rows not unit norm
     with pytest.raises(ValidationError):
         build_index(["a"], unit_rows(rng, 2, 4))
+
+
+def test_build_index_rejects_nan_row(rng):
+    mat = unit_rows(rng, 3, 4)
+    mat[1, 2] = np.nan
+    with pytest.raises(ValidationError, match="'b'"):
+        build_index(["a", "b", "c"], mat)
+
+
+# batched ranking ---------------------------------------------------------------
+
+def brute_force_ranks(q_ids, q_mat, q_places, db_ids, db_mat, db_places):
+    """Sort every candidate by (-score, id) in plain python; own id excluded."""
+    s = q_mat @ db_mat.T
+    ranks = []
+    for i, (qid, pl) in enumerate(zip(q_ids, q_places)):
+        order = sorted((-s[i, j], db_ids[j], db_places[j])
+                       for j in range(len(db_ids)) if db_ids[j] != qid)
+        ranks.append(next(r for r, (_, _, p) in enumerate(order, start=1) if p == pl))
+    return ranks
+
+
+@st.composite
+def ranking_cases(draw):
+    """Db rows drawn from a small palette, so scores tie exactly; queries are
+    either db images (self-exclusion) or images absent from the db."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 24))
+    dim = draw(st.integers(2, 5))
+    palette = unit_rows(rng, draw(st.integers(1, 4)), dim)
+    db_mat = palette[rng.integers(0, len(palette), size=n)]
+    db_ids = [f"d{j:02d}" for j in rng.permutation(n)]
+    db_places = rng.integers(0, draw(st.integers(1, 4)), size=n).tolist()
+    q_ids, q_places, q_rows = [], [], []
+    for i in range(draw(st.integers(1, 12))):
+        j = int(rng.integers(0, n))
+        if rng.random() < 0.5 and db_places.count(db_places[j]) > 1:
+            q_ids.append(db_ids[j])
+            q_rows.append(db_mat[j])
+        else:
+            q_ids.append(f"q{i:02d}")
+            q_rows.append(palette[rng.integers(0, len(palette))])
+        q_places.append(db_places[j])
+    return q_ids, np.array(q_rows), q_places, db_ids, db_mat, db_places
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranking_cases(), st.integers(1, 5))
+def test_batched_ranks_match_brute_force_lexsort(case, block):
+    q_ids, q_mat, q_places, db_ids, db_mat, db_places = case
+    index = build_index(db_ids, db_mat, db_places)
+    want = brute_force_ranks(q_ids, q_mat, q_places, db_ids, db_mat, db_places)
+    assert first_correct_ranks(index, q_ids, q_mat, q_places).tolist() == want
+    with mock.patch.object(retrieval, "RANK_BLOCK", block):
+        assert first_correct_ranks(index, q_ids, q_mat, q_places).tolist() == want
+
+
+def test_batched_ranks_match_knn_path(rng):
+    n, dim = 40, 8
+    db = unit_rows(rng, n, dim)
+    db[5] = db[4]                       # a forced tie
+    db_ids = [f"i{j:02d}" for j in rng.permutation(n)]
+    db_places = [j // 4 for j in range(n)]
+    q_ids = db_ids[:10] + ["new0", "new1"]
+    q_mat = np.vstack([db[:10], unit_rows(rng, 2, dim)])
+    q_places = db_places[:10] + [3, 7]
+    index = build_index(db_ids, db, db_places)
+    ranked = [knn(index, q, n - (iid in db_ids), exclude_id=iid) for iid, q in zip(q_ids, q_mat)]
+    gt = [{d for d, p in zip(db_ids, db_places) if p == pl} - {iid}
+          for iid, pl in zip(q_ids, q_places)]
+    assert first_correct_ranks(index, q_ids, q_mat, q_places).tolist() == \
+        recall_at_n(ranked, gt, (1,)).ranks
+
+
+def test_batched_ranks_validation(rng):
+    index = build_index(["a", "b"], unit_rows(rng, 2, 4), [0, 1])
+    with pytest.raises(ValidationError, match="no database positives"):
+        first_correct_ranks(index, ["a"], unit_rows(rng, 1, 4), [0])   # only itself
+    bad = unit_rows(rng, 2, 4)
+    bad[1, 0] = np.inf
+    with pytest.raises(ValidationError, match="not finite"):
+        first_correct_ranks(index, ["x", "y"], bad, [0, 1])
+    with pytest.raises(ValidationError, match="dim"):
+        first_correct_ranks(index, ["x"], unit_rows(rng, 1, 3), [0])
 
 
 # recall ----------------------------------------------------------------------
@@ -157,6 +245,19 @@ def test_evaluate_files_dim_mismatch(tmp_path, rng):
     write_sidecar(str(tmp_path / "bad.edtd") + ".csv", ["q0", "q1", "q2"], [0, 1, 2])
     with pytest.raises(FormatError):
         evaluate_files(tmp_path / "bad.edtd", dbp, gt, ns=(1,))
+
+
+@pytest.mark.parametrize("which", ["db", "query"])
+def test_evaluate_files_rejects_nan_rows(tmp_path, rng, which):
+    from placerec.fileformats import read_descriptors, write_descriptors
+
+    qp, dbp, gt = _write_descriptor_files(tmp_path, rng)
+    path = dbp if which == "db" else qp
+    rows = read_descriptors(path)
+    rows[1, 0] = np.nan
+    write_descriptors(path, rows)
+    with pytest.raises(ValidationError, match="row"):
+        evaluate_files(qp, dbp, gt, ns=(1,))
 
 
 def test_read_gt_places_accepts_manifest_and_sidecar_headers(tmp_path):

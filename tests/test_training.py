@@ -117,6 +117,32 @@ def test_train_step_updates_only_trainables(tiny_run_config, rng):
                for b, a in zip(train_before, trainable_params(model)))
 
 
+def test_empty_mining_step_skips_backward(tiny_run_config, rng, monkeypatch):
+    """No mined pair: no backward sweep, and the parameters move exactly as
+    an Adam step on zero gradients moves them."""
+    model, twin = build_model(tiny_run_config), build_model(tiny_run_config)
+    stacks, pids = _toy_batch(model, rng)
+    opt = Adam(trainable_params(model), lr=1e-3)
+    twin_opt = Adam(trainable_params(twin), lr=1e-3)
+    for m, o in ((model, opt), (twin, twin_opt)):   # non-zero Adam moments
+        train_step(m, stacks, pids, LossConfig(), o)
+
+    sweeps = []
+    backward = Tape.backward
+    monkeypatch.setattr(Tape, "backward",
+                        lambda tape, root: sweeps.append(root) or backward(tape, root))
+    # every image its own place: no query has a positive, mining keeps nothing
+    res = train_step(model, stacks, list(range(len(stacks))), LossConfig(), opt)
+    assert (res.kept_pos, res.kept_neg, res.loss) == (0, 0, 0.0)
+    assert sweeps == []
+    twin_opt.step()
+    assert opt.t == twin_opt.t == 2
+    for a, b in zip(trainable_params(model), trainable_params(twin)):
+        np.testing.assert_array_equal(a.value.data, b.value.data)
+        np.testing.assert_array_equal(opt.m[id(a)], twin_opt.m[id(b)])
+        np.testing.assert_array_equal(opt.v[id(a)], twin_opt.v[id(b)])
+
+
 def test_fixed_batch_loss_decreases(rng):
     """50 steps at lr 1e-3 on one fixed 4-place batch: decreasing after the
     warmup, allowing 10% transient violations."""
