@@ -10,7 +10,8 @@ u32 version, u32 header fields, then a raw payload.
                         (u32 name len, name, u32 rank, u32 extents..., payload)
 
 Writers are atomic (write to a temp file, then rename). Readers fail with
-FormatError carrying the byte offset of the problem.
+FormatError carrying the byte offset of the problem; a checkpoint tensor
+that holds NaN or inf is such a problem.
 """
 from __future__ import annotations
 
@@ -205,7 +206,12 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     tensors: dict[str, np.ndarray] = {}
     while not r.eof:
         at = r.pos
-        name = r.take(r.u32()).decode()
+        raw = r.take(r.u32())
+        try:
+            name = raw.decode()
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: tensor name is not UTF-8: {raw!r}",
+                              offset=at + 4 + e.start) from None
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor {name!r}", offset=at)
         rank = r.u32()
@@ -215,5 +221,8 @@ def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         n = 1
         for e in shape:
             n *= e
-        tensors[name] = r.f64_array(n).reshape(shape)
+        arr = r.f64_array(n).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor {name!r} holds non-finite values", offset=at)
+        tensors[name] = arr
     return config, tensors

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fileformats
-from .errors import FormatError, ValidationError
+from .errors import FormatError, NumericalError, ValidationError
 from .model import DescriptorModel, describe_stack, feature_stack, stack_images
 from .synth import Manifest, load_image
 
@@ -121,6 +121,7 @@ def extract_descriptors(model: DescriptorModel, manifest: Manifest, data_dir,
     """Descriptors for one split: (ids, (n, D) matrix, place_ids).
 
     Each chunk of images is one batched encoder pass and one describe call.
+    A non-finite descriptor row raises NumericalError naming its image.
     """
     rows = manifest.split_rows(split)
     if not rows:
@@ -134,7 +135,12 @@ def extract_descriptors(model: DescriptorModel, manifest: Manifest, data_dir,
         part = ids[i:i + chunk]
         images = stack_images([load_image(data_dir, iid) for iid in part], part)
         out.append(describe_stack(model, feature_stack(model, images)).data)
-    return ids, np.vstack(out), place_ids
+    matrix = np.vstack(out)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise NumericalError(
+            f"descriptor of image {ids[bad[0]]!r} is not finite ({bad.size} of {len(ids)} rows)")
+    return ids, matrix, place_ids
 
 
 def evaluate_model(model: DescriptorModel, manifest: Manifest, data_dir,

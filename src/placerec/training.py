@@ -14,7 +14,14 @@ from .autodiff import Tape, Tensor
 from .config import TrainConfig
 from .errors import NumericalError, ValidationError
 from .loss import LossConfig, mine_pairs, ms_loss, similarity_matrix
-from .model import DescriptorModel, batch_stacks, describe_stack, feature_stack, trainable_params
+from .model import (
+    DescriptorModel,
+    batch_stacks,
+    describe_stack,
+    feature_stack,
+    stack_images,
+    trainable_params,
+)
 from .synth import BatchSampler, Manifest, load_image
 
 
@@ -108,14 +115,19 @@ class Trainer:
     log: object = print
     _cache: dict = field(default_factory=dict)
 
-    def stack_for(self, image_id: str):
+    def fill(self, image_ids) -> None:
+        """Cache the feature stacks of the uncached images, in one encoder pass."""
         # frozen encoder: per-image features are constant across steps
-        got = self._cache.get(image_id)
-        if got is None:
-            img = load_image(self.data_dir, image_id)
-            got = [t.data for t in feature_stack(self.model, img)]
-            self._cache[image_id] = got
-        return got
+        todo = [i for i in dict.fromkeys(image_ids) if i not in self._cache]
+        if todo:
+            images = stack_images([load_image(self.data_dir, i) for i in todo], todo)
+            layers = feature_stack(self.model, images)
+            for j, image_id in enumerate(todo):
+                self._cache[image_id] = [z.data[j] for z in layers]
+
+    def stack_for(self, image_id: str):
+        self.fill([image_id])
+        return self._cache[image_id]
 
     def run(self) -> list:
         cfg = self.train_cfg
@@ -128,6 +140,7 @@ class Trainer:
         for epoch in range(cfg.epochs):
             opt.lr = lr_at(cfg, epoch)
             for ids, pids in sampler.epoch():
+                self.fill(ids)
                 res = train_step(self.model, [self.stack_for(i) for i in ids],
                                  pids, self.loss_cfg, opt)
                 step += 1

@@ -161,6 +161,35 @@ def test_evaluate_bad_sidecar_exits_1(ws, tmp_path, capsys, record):
     assert "line 3" in _one_error_line(capsys.readouterr().err)
 
 
+def test_extract_nan_checkpoint_exits_1(ws, tmp_path, capsys):
+    from placerec.fileformats import read_checkpoint, write_checkpoint
+
+    cfg, tensors = read_checkpoint(ws["model"])
+    tensors["agg.head_w3"] = tensors["agg.head_w3"] * np.nan
+    model = str(tmp_path / "nan.edtc")
+    write_checkpoint(model, cfg, tensors)
+    out = str(tmp_path / "db.edtd")
+    capsys.readouterr()
+    assert main(["extract", "--model", model, "--data", ws["data"],
+                 "--split", "db", "--out", out]) == 1
+    assert "'agg.head_w3' holds non-finite values" in _one_error_line(capsys.readouterr().err)
+    assert not os.path.exists(out) and not os.path.exists(out + ".csv")
+
+
+def test_extract_refuses_non_finite_rows(ws):
+    from placerec.errors import NumericalError
+    from placerec.model import load_model, named_params
+    from placerec.retrieval import extract_descriptors
+    from placerec.synth import read_manifest
+
+    model = load_model(ws["model"])
+    named_params(model)["agg.head_w3"].value.data[:] = np.nan
+    manifest = read_manifest(os.path.join(ws["data"], "manifest.csv"))
+    first = manifest.split_rows("db")[0].image_id
+    with pytest.raises(NumericalError, match=f"image {first!r} is not finite"):
+        extract_descriptors(model, manifest, ws["data"], "db")
+
+
 def test_extract_chunking_does_not_change_rows(ws):
     from placerec.model import describe_image, load_model
     from placerec.retrieval import extract_descriptors

@@ -65,6 +65,27 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path, rng):
         np.testing.assert_array_equal(tensors2[k], tensors[k])  # exact, f64
 
 
+def test_checkpoint_non_utf8_name_rejected(tmp_path, rng):
+    write_checkpoint(tmp_path / "m.edtc", {}, {"agg.w": rng.normal(size=(2,))})
+    blob = bytearray((tmp_path / "m.edtc").read_bytes())
+    at = blob.index(b"agg.w") + 3
+    blob[at] = 0xFF
+    (tmp_path / "bad.edtc").write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="not UTF-8") as exc:
+        read_checkpoint(tmp_path / "bad.edtc")
+    assert exc.value.offset == at
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_tensor_rejected(tmp_path, rng, value):
+    bad = rng.normal(size=(3, 4))
+    bad[1, 2] = value
+    tensors = {"ok": rng.normal(size=(2,)), "bad": bad, "later": np.array([np.nan])}
+    write_checkpoint(tmp_path / "m.edtc", {}, tensors)
+    with pytest.raises(FormatError, match="tensor 'bad' holds non-finite values"):
+        read_checkpoint(tmp_path / "m.edtc")
+
+
 def test_bad_magic_rejected(tmp_path):
     p = tmp_path / "bad.edtc"
     p.write_bytes(b"NOPE" + b"\x00" * 64)

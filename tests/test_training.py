@@ -184,3 +184,31 @@ def test_trainer_runs_and_logs(tiny_run_config, tmp_path, rng):
     assert len(history) == len(lines) > 0
     assert all(h.step == i + 1 for i, h in enumerate(history))
     assert {h.epoch for h in history} == {1, 2}
+
+
+def test_trainer_cache_fill_is_batched_and_bit_identical(tiny_run_config, tmp_path, monkeypatch):
+    """A batch's cache misses share one encoder pass, and the cached arrays
+    equal the per-image feature stacks bit for bit."""
+    import placerec.training as training
+    from placerec.synth import Perturbation, SynthConfig, generate, load_image
+
+    scfg = SynthConfig(places=4, views_per_place=4, image_size=8,
+                       perturbation=Perturbation(), seed=1)
+    manifest = generate(scfg, tmp_path)
+    model = build_model(tiny_run_config)
+    calls = []
+    monkeypatch.setattr(training, "feature_stack",
+                        lambda m, images: calls.append(len(images)) or feature_stack(m, images))
+    trainer = Trainer(model, manifest, tmp_path, LossConfig(), tiny_run_config.train, log=None)
+    ids = [r.image_id for r in manifest.split_rows("train")]
+    trainer.fill(ids[:3] + ids[:1])
+    trainer.fill(ids)
+    trainer.run()
+    assert calls == [3, len(ids) - 3]
+    for image_id in ids:
+        single = feature_stack(model, load_image(tmp_path, image_id))
+        cached = trainer.stack_for(image_id)
+        assert len(cached) == len(single)
+        for c, z in zip(cached, single):
+            np.testing.assert_array_equal(c, z.data)
+    assert calls == [3, len(ids) - 3]
