@@ -37,6 +37,12 @@ class _Reader:
         self.pos = 0
         self.path = path
 
+    @classmethod
+    def of(cls, path) -> "_Reader":
+        """A reader over the whole file at path."""
+        with open(path, "rb") as fh:
+            return cls(fh.read(), os.fspath(path))
+
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
             raise FormatError(
@@ -107,7 +113,7 @@ def write_feature_stack(path, layers: list[np.ndarray]) -> None:
 
 
 def read_feature_stack(path) -> list[np.ndarray]:
-    r = _Reader(open(path, "rb").read(), os.fspath(path))
+    r = _Reader.of(path)
     r.magic(MAGIC_STACK)
     layers, rows, d = r.u32(), r.u32(), r.u32()
     if layers < 1 or rows < 1 or d < 1:
@@ -128,7 +134,7 @@ def write_image(path, image: np.ndarray) -> None:
 
 
 def read_image(path) -> np.ndarray:
-    r = _Reader(open(path, "rb").read(), os.fspath(path))
+    r = _Reader.of(path)
     r.magic(MAGIC_IMAGE)
     h, w, c = r.u32(), r.u32(), r.u32()
     if h < 1 or w < 1 or c < 1:
@@ -149,7 +155,7 @@ def write_descriptors(path, matrix: np.ndarray) -> None:
 
 
 def read_descriptors(path) -> np.ndarray:
-    r = _Reader(open(path, "rb").read(), os.fspath(path))
+    r = _Reader.of(path)
     r.magic(MAGIC_DESC)
     n, dim = r.u32(), r.u32()
     if n < 1 or dim < 1:
@@ -196,7 +202,7 @@ def write_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None
 
 
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    r = _Reader(open(path, "rb").read(), os.fspath(path))
+    r = _Reader.of(path)
     r.magic(MAGIC_CKPT)
     clen = r.u32()
     try:

@@ -7,17 +7,14 @@ gradients are judged on absolute error and large ones relatively.
 
 The probes are independent evaluations, so they run on every CPU in the
 process's affinity mask. Worker processes are forked after the analytic
-pass and inherit the gradients and whatever fast_eval has cached; scalars
-are dealt round-robin in serial order, and the parent merges the shares
-into the report one process would have produced.
+pass (through `fanout.fan_out`) and inherit the gradients and whatever
+fast_eval has cached; scalars are dealt round-robin in serial order, and
+the parent merges the shares into the report one process would have
+produced.
 """
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import sys
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -26,6 +23,8 @@ import numpy as np
 
 from .autodiff import Param, Tape, Tensor
 from .errors import NumericalError, ShapeError
+from .fanout import fan_out as _fan_out
+from .fanout import workers as _workers
 
 
 @dataclass
@@ -65,27 +64,21 @@ def _scalar_loss(t: Tensor) -> float:
     return v
 
 
-def _workers() -> int:
-    """Processes to run probes in: the CPUs this process may run on."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 @dataclass
 class _Share:
     """One worker's part of a check; positions count scalars in serial order."""
     checked: int = 0
     max_rel_err: float = 0.0
     failures: list = field(default_factory=list)    # (position, GradCheckEntry)
-    error: tuple | None = None                      # (position, exception)
 
 
-def _probe_share(params, analytic, probe, h, tol, start, step) -> _Share:
-    """Central differences for every step-th scalar from position start on.
+def _probe_share(params, analytic, probe, h, tol, start, step) -> tuple:
+    """(share, error) of central differences for every step-th scalar from
+    position start on.
 
-    Stops at the first probe that raises and records it, so the caller can
-    re-raise the error a serial run would have met first.
+    Stops at the first probe that raises and returns it as error, a
+    (position, exception) pair for `fan_out`; the poked scalar is restored
+    either way.
     """
     share = _Share()
     base = pos = 0
@@ -97,11 +90,13 @@ def _probe_share(params, analytic, probe, h, tol, start, step) -> _Share:
             for i in range((start - base) % step, flat.size, step):
                 pos = base + i
                 keep = flat[i]
-                flat[i] = keep + h
-                lp = probe(p)
-                flat[i] = keep - h
-                lm = probe(p)
-                flat[i] = keep
+                try:
+                    flat[i] = keep + h
+                    lp = probe(p)
+                    flat[i] = keep - h
+                    lm = probe(p)
+                finally:
+                    flat[i] = keep
                 if not (math.isfinite(lp) and math.isfinite(lm)):
                     raise NumericalError(f"grad_check: non-finite loss probing {name}[{i}]")
                 numeric = (lp - lm) / (2.0 * h)
@@ -113,65 +108,9 @@ def _probe_share(params, analytic, probe, h, tol, start, step) -> _Share:
                     entry = GradCheckEntry(name, i, float(ga[i]), numeric, rel)
                     share.failures.append((pos, entry))
             base += flat.size
-    except Exception as exc:    # handed to the parent, which re-raises it
-        share.error = (pos, exc)
-    return share
-
-
-def _fan_out(n: int, run) -> list:
-    """[run(0), ..., run(n - 1)]: run(0) in this process, each other k in a
-    forked child that pickles run(k) back through a pipe.
-
-    A child that dies before reporting raises NumericalError with its exit
-    code. Children still running when this returns or raises are killed and
-    reaped.
-    """
-    if n == 1:
-        return [run(0)]
-    # a child must not re-emit output the parent has buffered
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children = []                                   # [pid, read fd]
-    try:
-        for k in range(1, n):
-            rfd, wfd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(rfd)
-                os.close(wfd)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(rfd)
-                    with os.fdopen(wfd, "wb") as fh:
-                        pickle.dump(run(k), fh)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(wfd)
-            children.append([pid, rfd])
-        out = [run(0)]
-        for k, child in enumerate(children, start=1):
-            with os.fdopen(child[1], "rb") as fh:
-                child[1] = None
-                blob = fh.read()
-            _, status = os.waitpid(child[0], 0)
-            child[0] = None
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0 or not blob:
-                raise NumericalError(
-                    f"grad_check: probe worker {k} died without a report (exit code {code})")
-            out.append(pickle.loads(blob))
-        return out
-    finally:
-        for pid, rfd in children:
-            if rfd is not None:
-                os.close(rfd)
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    except Exception as exc:    # fan_out re-raises the serially first one
+        return share, (pos, exc)
+    return share, None
 
 
 def grad_check(f, params, h: float = 1e-5, tol: float = 1e-5,
@@ -200,10 +139,8 @@ def grad_check(f, params, h: float = 1e-5, tol: float = 1e-5,
 
     probe = fast_eval if fast_eval is not None else (lambda _p: _scalar_loss(f()))
     n = max(1, min(_workers(), sum(p.value.data.size for p in params)))
-    shares = _fan_out(n, lambda k: _probe_share(params, analytic, probe, h, tol, k, n))
-    errors = [s.error for s in shares if s.error is not None]
-    if errors:
-        raise min(errors, key=itemgetter(0))[1]
+    shares = _fan_out(n, lambda k: _probe_share(params, analytic, probe, h, tol, k, n),
+                      "grad_check: probe")
 
     report = GradCheckReport(tol=tol)
     report.checked = sum(s.checked for s in shares)

@@ -17,6 +17,8 @@ import numpy as np
 
 from . import fileformats
 from .errors import FormatError, NumericalError, ValidationError
+from .fanout import fan_out as _fan_out
+from .fanout import workers as _workers
 from .model import DescriptorModel, describe_stack, feature_stack, stack_images
 from .synth import Manifest, load_image
 
@@ -121,7 +123,11 @@ def extract_descriptors(model: DescriptorModel, manifest: Manifest, data_dir,
     """Descriptors for one split: (ids, (n, D) matrix, place_ids).
 
     Each chunk of images is one batched encoder pass and one describe call.
-    A non-finite descriptor row raises NumericalError naming its image.
+    Chunks are dealt round-robin to one process per CPU (at most one per
+    chunk; a one-chunk split runs here without forking), each loading and
+    describing its own; the rows come back in manifest order and any error
+    is the one a single process would have raised first. A non-finite
+    descriptor row raises NumericalError naming its image.
     """
     rows = manifest.split_rows(split)
     if not rows:
@@ -130,12 +136,23 @@ def extract_descriptors(model: DescriptorModel, manifest: Manifest, data_dir,
         raise ValidationError(f"chunk must be >= 1, got {chunk}")
     ids = [r.image_id for r in rows]
     place_ids = [r.place_id for r in rows]
-    out = []
-    for i in range(0, len(ids), chunk):
-        part = ids[i:i + chunk]
-        images = stack_images([load_image(data_dir, iid) for iid in part], part)
-        out.append(describe_stack(model, feature_stack(model, images)).data)
-    matrix = np.vstack(out)
+    starts = range(0, len(ids), chunk)
+    n = min(_workers(), len(starts))
+
+    def share(k):
+        out = []
+        for i in starts[k::n]:
+            part = ids[i:i + chunk]
+            try:
+                images = stack_images([load_image(data_dir, iid) for iid in part], part)
+                out.append(describe_stack(model, feature_stack(model, images)).data)
+            except Exception as exc:    # fan_out re-raises the serially first one
+                return out, (i, exc)
+        return out, None
+
+    shares = _fan_out(n, share, "extract_descriptors: chunk")
+    # share k holds chunks k, k + n, k + 2n, ...
+    matrix = np.vstack([shares[j % n][j // n] for j in range(len(starts))])
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise NumericalError(

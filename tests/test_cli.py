@@ -1,6 +1,7 @@
 """CLI subcommands: end-to-end happy path on a tiny corpus, exit codes, reports."""
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def ws(tmp_path_factory):
 
 def test_synth_layout(ws):
     manifest = os.path.join(ws["data"], "manifest.csv")
-    lines = open(manifest).read().splitlines()
+    lines = Path(manifest).read_text().splitlines()
     assert lines[0] == "image_id,place_id,split"
     assert len(lines) == 1 + 6 * 4
     first_image = lines[1].split(",")[0]
@@ -54,17 +55,17 @@ def test_synth_layout(ws):
 def test_synth_deterministic(ws, tmp_path):
     again = str(tmp_path / "corpus2")
     assert main(["synth", "--config", ws["synth_cfg"], "--out", again]) == 0
-    a = open(os.path.join(ws["data"], "manifest.csv"), "rb").read()
-    b = open(os.path.join(again, "manifest.csv"), "rb").read()
+    a = Path(os.path.join(ws["data"], "manifest.csv")).read_bytes()
+    b = Path(os.path.join(again, "manifest.csv")).read_bytes()
     assert a == b
     name = a.decode().splitlines()[1].split(",")[0] + ".edti"
-    assert (open(os.path.join(ws["data"], name), "rb").read()
-            == open(os.path.join(again, name), "rb").read())
+    assert (Path(os.path.join(ws["data"], name)).read_bytes()
+            == Path(os.path.join(again, name)).read_bytes())
 
 
 def test_train_artifacts(ws):
     assert os.path.exists(ws["model"])
-    log_lines = open(os.path.join(ws["out"], "train.log")).read().splitlines()
+    log_lines = Path(os.path.join(ws["out"], "train.log")).read_text().splitlines()
     # 2 epochs x 2 batches of P=3 places
     assert len(log_lines) == 4
     for line in log_lines:
@@ -86,7 +87,7 @@ def test_extract_deterministic(ws, tmp_path):
     again = str(tmp_path / "again.edtd")
     assert main(["extract", "--model", ws["model"], "--data", ws["data"],
                  "--split", "db", "--out", again]) == 0
-    assert open(ws["db"], "rb").read() == open(again, "rb").read()
+    assert Path(ws["db"]).read_bytes() == Path(again).read_bytes()
 
 
 def test_evaluate_reports(ws, capsys):
@@ -96,10 +97,10 @@ def test_evaluate_reports(ws, capsys):
     assert "R@1 " in out and "R@5 " in out
 
     stem = ws["query"][: -len(".edtd")]
-    recall = open(stem + ".recall.csv").read().splitlines()
+    recall = Path(stem + ".recall.csv").read_text().splitlines()
     assert recall[0] == "N,recall"
     assert [row.split(",")[0] for row in recall[1:]] == ["1", "5"]
-    ranks = open(stem + ".ranks.csv").read().splitlines()
+    ranks = Path(stem + ".ranks.csv").read_text().splitlines()
     assert ranks[0] == "id,first_correct_rank"
     assert len(ranks) == 1 + 6
 
@@ -208,7 +209,8 @@ def test_extract_chunking_does_not_change_rows(ws):
 def test_gradcheck_large_beta(ws, tmp_path, capsys):
     """The probe evaluator's loss shifts its exponent like ms_loss does."""
     cfg = tmp_path / "beta.json"
-    cfg.write_text(json.dumps({**json.load(open(ws["run_cfg"])), "loss": {"beta": 800}}))
+    base = json.loads(Path(ws["run_cfg"]).read_text())
+    cfg.write_text(json.dumps({**base, "loss": {"beta": 800}}))
     assert main(["gradcheck", "--config", str(cfg)]) == 0
     assert "gradcheck pass" in capsys.readouterr().out
 

@@ -8,7 +8,7 @@ import pytest
 
 from placerec import gradcheck
 from placerec.autodiff import Param, Tensor, tape_record, taping
-from placerec.errors import NumericalError, ShapeError
+from placerec.errors import DegenerateInputError, NumericalError, ShapeError
 from placerec.gradcheck import grad_check
 from placerec.ops import matmul, sum_all
 
@@ -193,6 +193,20 @@ def test_dead_worker_fails_cli_gradcheck(monkeypatch, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert "died without a report (exit code 1)" in lines[0]
     assert "gradcheck" not in captured.out
+
+
+def test_raising_probe_restores_the_poked_scalar(monkeypatch, rng):
+    a = Param(rng.normal(size=(3,)), name="a")
+    base = a.value.data.copy()
+
+    def fast(param):
+        if _poked_index(param, base) == 1:
+            raise DegenerateInputError("probe failed")
+        return float(a.value.data.sum())
+
+    with pytest.raises(DegenerateInputError, match="probe failed"):
+        _check_with(monkeypatch, 1, lambda: sum_all(a.read()), [a], fast_eval=fast)
+    assert a.value.data.tobytes() == base.tobytes()
 
 
 def test_workers_probe_through_f_without_fast_eval(monkeypatch, rng):
