@@ -9,6 +9,7 @@ mapped here and nowhere else.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .adapters import LoPAConfig
@@ -84,17 +85,29 @@ def _as_int(path: str, v):
     return v
 
 
+def _finite(path: str, v) -> float:
+    # json.loads parses NaN, Infinity and -Infinity, and range checks written
+    # as `x < 0` let NaN through, so non-finite numbers stop here, by key path
+    try:
+        f = float(v)
+    except OverflowError:  # an integer literal beyond float range
+        f = math.inf
+    if not math.isfinite(f):
+        raise ValidationError(f"{path} must be a finite number, got {v!r}")
+    return f
+
+
 def _as_float(path: str, v):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationError(f"{path} must be a number, got {v!r}")
-    return float(v)
+    return _finite(path, v)
 
 
 def _as_pair(path: str, v):
     if (not isinstance(v, (list, tuple)) or len(v) != 2
             or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)):
         raise ValidationError(f"{path} must be a pair of numbers, got {v!r}")
-    return (float(v[0]), float(v[1]))
+    return (_finite(f"{path}[0]", v[0]), _finite(f"{path}[1]", v[1]))
 
 
 def _apply(section: str, data, obj, fields: dict) -> None:
@@ -151,7 +164,7 @@ def _load_json(path):
         raise ValidationError(f"cannot read config {path}: {e}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer literal over 4300 digits
         raise ValidationError(f"config {path} is not valid JSON: {e}")
 
 

@@ -1,9 +1,10 @@
 """Plain-array pipeline forward for finite-difference probes.
 
-The full-pipeline gradient check re-evaluates the loss ~150k times on a
-single core, which a taped graph cannot afford. This module mirrors the
-exact op formulas (same epsilons, reduction axes, normalizations) on raw
-ndarrays, with two structural shortcuts:
+The full-pipeline gradient check re-evaluates the loss ~150k times (two
+probes per trainable scalar, dealt over one forked worker per CPU), which a
+taped graph cannot afford. This module mirrors the exact op formulas (same
+epsilons, reduction axes, normalizations, and the one `ops.norm_cdf` kernel
+behind GELU) on raw ndarrays, with two structural shortcuts:
 
 - per-head attention projections are pre-merged into single (d, d) matrices
   (the softmax scale folded into the query side), so projections are one
@@ -21,16 +22,10 @@ fails loudly there or as a blown finite-difference residual.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 from .autodiff import Tensor
 from .errors import ValidationError
-
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-def _gelu(x):
-    return x * (0.5 * (1.0 + erf(x * _INV_SQRT2)))
+from .ops import norm_cdf
 
 
 def _ln(x, g, b, eps=1e-6):
@@ -223,7 +218,8 @@ class FastPipeline:
         for i, f in enumerate(self.model.adapters):
             if i > 0:
                 y = y + self.layers[i + 1]
-            y = _lin(_gelu(_lin(y, f.w_d.value.data)), f.w_u.value.data) * s + y
+            h = _lin(y, f.w_d.value.data)
+            y = _lin(h * norm_cdf(h), f.w_u.value.data) * s + y
         return y
 
     def f_tokens(self, y):

@@ -1,11 +1,14 @@
 """CLI subcommands: end-to-end happy path on a tiny corpus, exit codes, reports."""
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import placerec
 from placerec.cli import main
 from placerec.fileformats import read_descriptors, read_sidecar, write_descriptors, write_sidecar
 
@@ -177,6 +180,35 @@ def test_extract_nan_checkpoint_exits_1(ws, tmp_path, capsys):
     assert not os.path.exists(out) and not os.path.exists(out + ".csv")
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_train_non_finite_lr_exits_1(ws, tmp_path, capsys, literal):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(TINY_RUN).replace('"epochs": 2', f'"epochs": 2, "lr": {literal}'))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--data", ws["data"], "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "step=" not in captured.out
+    assert "Traceback" not in captured.err
+    assert _one_error_line(captured.err).startswith("error: train.lr must be a finite number")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,literal", [("noise_std", "NaN"),
+                                         ("brightness_range", "[0.9, Infinity]")])
+def test_synth_non_finite_perturbation_exits_1(tmp_path, capsys, key, literal):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(f'{{"places": 4, "perturbation": {{"{key}": {literal}}}}}')
+    out = tmp_path / "corpus"
+    capsys.readouterr()
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert _one_error_line(err).startswith(f"error: perturbation.{key}")
+    assert "must be a finite number" in err
+    assert not out.exists()
+
+
 def test_extract_refuses_non_finite_rows(ws):
     from placerec.errors import NumericalError
     from placerec.model import load_model, named_params
@@ -264,3 +296,18 @@ def test_bad_split_choice(ws, capsys):
     assert main(["extract", "--model", ws["model"], "--data", ws["data"],
                  "--split", "test", "--out", "/tmp/x.edtd"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # NumPy is the only numerical dependency; a convenience import of SciPy
+    # would cost every process ~24 MB of RSS and ~0.3 s of start-up
+    src = str(Path(placerec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, placerec, placerec.cli; print(placerec.__file__); "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    where, loaded = done.stdout.splitlines()
+    assert Path(where).resolve().parent.parent == Path(src)
+    assert loaded == "[]"

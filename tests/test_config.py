@@ -198,3 +198,54 @@ def test_synth_validation_runs(tmp_path):
     p.write_text(json.dumps({"views_per_place": 1}))
     with pytest.raises(ValidationError):
         load_synth_config(p)
+
+
+# non-finite numbers ----------------------------------------------------------
+# json.loads parses the NaN, Infinity and -Infinity literals; each is rejected
+# by key path before any range check can let it through
+
+NON_FINITE = ["NaN", "Infinity", "-Infinity"]
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+@pytest.mark.parametrize("section,key", [("train", "lr"), ("train", "lr_decay"),
+                                         ("loss", "alpha"), ("loss", "lambda"),
+                                         ("lopa", "scale")])
+def test_run_config_rejects_non_finite(tmp_path, literal, section, key):
+    p = tmp_path / "run.json"
+    p.write_text(f'{{"{section}": {{"{key}": {literal}}}}}')
+    with pytest.raises(ValidationError, match=rf"^{section}\.{key} must be a finite number"):
+        load_run_config(p)
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_synth_config_rejects_non_finite(tmp_path, literal):
+    p = tmp_path / "synth.json"
+    p.write_text(f'{{"perturbation": {{"noise_std": {literal}}}}}')
+    with pytest.raises(ValidationError,
+                       match=r"^perturbation\.noise_std must be a finite number"):
+        load_synth_config(p)
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+@pytest.mark.parametrize("slot", [0, 1])
+def test_synth_brightness_range_rejects_non_finite(tmp_path, literal, slot):
+    pair = ["1.0", "1.0"]
+    pair[slot] = literal
+    p = tmp_path / "synth.json"
+    p.write_text(f'{{"perturbation": {{"brightness_range": [{pair[0]}, {pair[1]}]}}}}')
+    with pytest.raises(ValidationError,
+                       match=rf"^perturbation\.brightness_range\[{slot}\] must be a finite"):
+        load_synth_config(p)
+
+
+def test_integer_literal_beyond_parser_limit_rejected(tmp_path):
+    p = tmp_path / "run.json"
+    p.write_text('{"train": {"epochs": ' + "9" * 5000 + "}}")
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        load_run_config(p)
+
+
+def test_integer_beyond_float_range_rejected():
+    with pytest.raises(ValidationError, match=r"^loss\.beta must be a finite number"):
+        run_config_from_dict({"loss": {"beta": 10 ** 400}})

@@ -1,4 +1,7 @@
 """Forward-value oracles and gradient checks for the op library."""
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from placerec.autodiff import Param, Tape, Tensor
 from placerec.errors import ShapeError
 from placerec.gradcheck import grad_check
+from placerec.ops import _PHI_BLOCK, norm_cdf
 from placerec.ops import (
     add,
     concat_rows,
@@ -75,6 +79,93 @@ def test_gelu_known_points():
         [-0.158655253931, 0.0, 0.841344746069, 1.954499736104],
         atol=1e-12,
     )
+
+
+# norm_cdf: Phi(x) against the libm erf, elementwise --------------------------
+
+PHI_ATOL = 4.5e-16
+SQRT2 = math.sqrt(2.0)
+
+
+def _phi_ref(x: float) -> float:
+    return 0.5 * (1.0 + math.erf(x / SQRT2))
+
+
+def _assert_phi(x):
+    x = np.asarray(x, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no inf/inf, overflow or invalid warnings
+        got = norm_cdf(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    want = np.array([_phi_ref(v) for v in x.ravel()]).reshape(x.shape)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    fin = ~np.isnan(want)
+    err = np.abs(got[fin] - want[fin])
+    assert err.max(initial=0.0) <= PHI_ATOL, (err.max(), x[fin][err.argmax()])
+    return got
+
+
+def test_norm_cdf_dense_grid_reaches_every_branch():
+    # |x| <= sqrt 2 (inner rational), sqrt 2 < |x| < 8 sqrt 2 (P/Q erfc),
+    # 8 sqrt 2 <= |x| (R/S erfc), and the saturated ends
+    x = np.linspace(-40.0, 40.0, 200_001)
+    for lo, hi in ((0.0, SQRT2), (SQRT2, 8 * SQRT2), (8 * SQRT2, 40.0)):
+        assert ((np.abs(x) > lo) & (np.abs(x) < hi)).sum() > 5_000
+    got = _assert_phi(x)
+    assert np.all(np.diff(got) >= 0.0)
+    assert got[0] == 0.0 and got[-1] == 1.0
+
+
+def test_norm_cdf_lower_tail_relative_to_erfc():
+    # the absolute bound cannot see the tail, where the 1 + erf reference
+    # rounds to 0; against erfc, the relative error grows only with the
+    # rounding of x^2 / 2 inside exp (and of x / sqrt 2 in the reference)
+    x = -np.linspace(SQRT2, 37.5, 20_001)
+    want = np.array([0.5 * math.erfc(-v / SQRT2) for v in x])
+    assert want[-1] > np.finfo(np.float64).tiny
+    rel = np.abs(norm_cdf(x) - want) / want
+    assert (rel <= 1e-15 * (1.0 + x * x)).all(), rel.max()
+
+
+def test_norm_cdf_edge_points():
+    edges = []
+    for c in (SQRT2, -SQRT2, 8 * SQRT2, -8 * SQRT2, 40.0, -40.0):
+        edges += [np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)]
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges += [0.0, -0.0, tiny, -tiny, 2.2e-308, -2.2e-308, 1e-300, -1e300, 1e300,
+              np.finfo(np.float64).max, -np.finfo(np.float64).max]
+    got = _assert_phi(edges)
+    assert got[edges.index(0.0)] == 0.5
+    got = _assert_phi([np.inf, -np.inf, np.nan, -np.nan, 1.0])
+    assert got[0] == 1.0 and got[1] == 0.0 and np.isnan(got[2]) and np.isnan(got[3])
+
+
+@pytest.mark.parametrize("n", [1, 544, 2 * _PHI_BLOCK + 37])
+def test_norm_cdf_blocks_match_elementwise(rng, n):
+    # 544 = 8 images x 17 tokens x rank 4, the adapter hidden of a gradcheck
+    # probe; the largest size spans three blocks with a ragged last one
+    x = rng.normal(scale=4.0, size=n)
+    x[:: 7] *= 8.0  # some elements in every branch, in every block
+    x[5 % n] = np.nan
+    got = _assert_phi(x)
+    # one element at a time around each block edge, and a sample elsewhere
+    edges = [i for b in range(0, n, _PHI_BLOCK) for i in range(b - 20, b + 20) if 0 <= i < n]
+    idx = np.unique(np.r_[edges, np.arange(0, n, 97), n - 1])
+    alone = np.array([norm_cdf(x[i:i + 1])[0] for i in idx])
+    np.testing.assert_array_equal(got[idx], alone)
+    np.testing.assert_array_equal(norm_cdf(x[::-1])[::-1], got)  # blocks cut elsewhere
+    np.testing.assert_array_equal(norm_cdf(x.reshape(1, n, 1)), got.reshape(1, n, 1))
+    np.testing.assert_array_equal(norm_cdf(np.stack([x, x]).T)[:, 1], got)  # strided input
+
+
+def test_norm_cdf_empty():
+    assert norm_cdf(np.zeros((0, 3))).shape == (0, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_norm_cdf_matches_libm_erf(x):
+    _assert_phi([x])
 
 
 def test_layer_norm_two_point_row():
