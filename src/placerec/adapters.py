@@ -20,22 +20,18 @@ from .autodiff import Param, Tape, Tensor, region
 from .backbone import Backbone, ViTConfig, build_backbone, encoder_block, forward_collect, patch_embed
 from .errors import ValidationError
 from .ops import add, gelu, matmul, scale, sum_all
+from .schema import check, setting
 
 
 @dataclass
 class LoPAConfig:
-    rank: int = 4
-    scale: float = 0.5
-    depth: int = 4
-    seed: int = 2
+    rank: int = setting(4, ge=1)
+    scale: float = setting(0.5, ge=0)
+    depth: int = setting(4, ge=1)
+    seed: int = setting(2, ge=0)
 
     def validate(self, d: int | None = None) -> None:
-        if self.rank < 1:
-            raise ValidationError(f"lopa.rank must be >= 1, got {self.rank}")
-        if self.depth < 1:
-            raise ValidationError(f"lopa.depth must be >= 1, got {self.depth}")
-        if self.scale < 0:
-            raise ValidationError(f"lopa.scale must be >= 0, got {self.scale}")
+        check(self, "lopa")
         if d is not None and self.rank >= d:
             raise ValidationError(f"lopa.rank {self.rank} must be < width {d}")
 

@@ -20,24 +20,21 @@ from .attention import MHAParams, init_mha, mha
 from .autodiff import Param, Tensor, as_tensor
 from .errors import ShapeError, ValidationError
 from .ops import add, l2_normalize, layer_norm, linear, reshape, transpose
+from .schema import check, setting
 
 
 @dataclass
 class AggregatorConfig:
-    d: int = 64
-    l_dec: int = 2          # decoder blocks
-    m: int = 16             # learnable queries
-    heads: int = 4
-    d_out: int = 16         # reduced width d'
-    m_out: int = 16         # adjusted query count M'
-    seed: int = 3
+    d: int = setting(64, ge=1)
+    l_dec: int = setting(2, key="L_dec", ge=0)     # decoder blocks
+    m: int = setting(16, key="M", ge=1)            # learnable queries
+    heads: int = setting(4, ge=1)
+    d_out: int = setting(16, ge=1)                 # reduced width d'
+    m_out: int = setting(16, key="M_out", ge=1)    # adjusted query count M'
+    seed: int = setting(3, ge=0)
 
     def validate(self) -> None:
-        for k in ("d", "m", "heads", "d_out", "m_out"):
-            if getattr(self, k) < 1:
-                raise ValidationError(f"aggregator.{k} must be >= 1, got {getattr(self, k)}")
-        if self.l_dec < 0:
-            raise ValidationError(f"aggregator.L_dec must be >= 0, got {self.l_dec}")
+        check(self, "aggregator")
         if self.d % self.heads:
             raise ValidationError(f"width {self.d} not divisible by heads {self.heads}")
 

@@ -42,9 +42,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.data.shape)})"
 
@@ -174,10 +171,6 @@ class Tape:
             g = grads.get(uid)
             if g is not None:
                 param.grad += g
-
-
-def active_tape() -> Tape | None:
-    return _state.tape
 
 
 def taping() -> bool:

@@ -5,9 +5,6 @@ parameter is frozen at construction (seeded init) and the whole forward
 normally runs inside a frozen region, so the tape never retains backbone
 activations; the per-layer outputs z_0..z_L come back as constant leaves
 for the adapter ladder to consume.
-
-A stack of externally computed features can stand in for the encoder via
-the EDTZ feature-stack file (save/load below).
 """
 from __future__ import annotations
 
@@ -15,11 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fileformats
 from .attention import MHAParams, init_mha, mha
 from .autodiff import Param, Tensor, frozen_region, region
 from .errors import ShapeError, ValidationError
 from .ops import add, concat_rows, gelu, layer_norm, linear, matmul, patchify
+from .schema import check, setting
 
 # list of (N+1, d) or (B, N+1, d) token tensors [z_0 .. z_L]
 IntermediateStack = list
@@ -27,18 +24,16 @@ IntermediateStack = list
 
 @dataclass
 class ViTConfig:
-    image_size: int = 32
-    patch_size: int = 8
-    channels: int = 1
-    d: int = 64
-    depth: int = 4
-    heads: int = 4
-    seed: int = 1
+    image_size: int = setting(32, ge=1)
+    patch_size: int = setting(8, ge=1)
+    channels: int = setting(1, ge=1)
+    d: int = setting(64, ge=1)
+    depth: int = setting(4, ge=1)
+    heads: int = setting(4, ge=1)
+    seed: int = setting(1, ge=0)
 
     def validate(self) -> None:
-        for k in ("image_size", "patch_size", "channels", "d", "depth", "heads"):
-            if getattr(self, k) < 1:
-                raise ValidationError(f"backbone.{k} must be >= 1, got {getattr(self, k)}")
+        check(self, "backbone")
         if self.image_size % self.patch_size:
             raise ValidationError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
@@ -159,10 +154,3 @@ def forward_collect(image, bb: Backbone, frozen: bool = True) -> IntermediateSta
             stack.append(z)
     return stack
 
-
-def save_feature_stack(path, stack: IntermediateStack) -> None:
-    fileformats.write_feature_stack(path, [t.data for t in stack])
-
-
-def load_feature_stack(path) -> IntermediateStack:
-    return [Tensor(a) for a in fileformats.read_feature_stack(path)]

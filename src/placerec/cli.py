@@ -7,6 +7,7 @@ success, 1 for validation/format problems (bad flags, bad config, bad files),
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -156,6 +157,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    # `rel > tol` is never true for NaN and always true below 0
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValidationError(f"--tol must be a finite number > 0, got {args.tol}")
     cfg = _run_config(args.config)
     model = build_model(cfg)
     rng = np.random.default_rng(cfg.train.seed)
@@ -199,6 +203,9 @@ def main(argv=None) -> int:
         return 1
     except (DegenerateInputError, PlacerecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a config whose arrays cannot be allocated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

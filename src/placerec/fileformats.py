@@ -1,9 +1,8 @@
 """Binary file formats.
 
-Four little-endian container formats share the same skeleton: 4-byte magic,
+Three little-endian container formats share the same skeleton: 4-byte magic,
 u32 version, u32 header fields, then a raw payload.
 
-  EDTZ  feature stack   u32 layers, u32 rows, u32 width; f32 layer-major
   EDTI  image           u32 h, u32 w, u32 c; f32 row-major
   EDTD  descriptors     u32 count, u32 dim; f32 row-major
   EDTC  checkpoint      u32 config-json bytes, json; then named f64 tensors
@@ -24,7 +23,6 @@ import numpy as np
 
 from .errors import FormatError
 
-MAGIC_STACK = b"EDTZ"
 MAGIC_IMAGE = b"EDTI"
 MAGIC_DESC = b"EDTD"
 MAGIC_CKPT = b"EDTC"
@@ -63,7 +61,7 @@ class _Reader:
         if ver != VERSION:
             raise FormatError(f"{self.path}: unsupported version {ver}", offset=4)
 
-    def f32_array(self, count: int, offset_label: str = "payload") -> np.ndarray:
+    def f32_array(self, count: int) -> np.ndarray:
         raw = self.take(count * 4)
         return np.frombuffer(raw, dtype="<f4", count=count).astype(np.float64)
 
@@ -97,30 +95,6 @@ def _atomic_write(path, blob: bytes) -> None:
 
 def _f32_bytes(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype="<f4").tobytes()
-
-
-# feature stacks ----------------------------------------------------------
-
-def write_feature_stack(path, layers: list[np.ndarray]) -> None:
-    if not layers:
-        raise FormatError("feature stack needs at least one layer")
-    rows, d = layers[0].shape
-    for a in layers:
-        if a.shape != (rows, d):
-            raise FormatError(f"layer shapes disagree: {a.shape} vs {(rows, d)}")
-    head = MAGIC_STACK + struct.pack("<IIII", VERSION, len(layers), rows, d)
-    _atomic_write(path, head + b"".join(_f32_bytes(a) for a in layers))
-
-
-def read_feature_stack(path) -> list[np.ndarray]:
-    r = _Reader.of(path)
-    r.magic(MAGIC_STACK)
-    layers, rows, d = r.u32(), r.u32(), r.u32()
-    if layers < 1 or rows < 1 or d < 1:
-        raise FormatError(f"{path}: bad header counts {layers}x{rows}x{d}", offset=8)
-    out = [r.f32_array(rows * d).reshape(rows, d) for _ in range(layers)]
-    r.done()
-    return out
 
 
 # images ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from operator import itemgetter
 import numpy as np
 
 from .autodiff import Param, Tape, Tensor
-from .errors import NumericalError, ShapeError
+from .errors import NumericalError, ShapeError, ValidationError
 from .fanout import fan_out as _fan_out
 from .fanout import workers as _workers
 
@@ -123,6 +123,9 @@ def grad_check(f, params, h: float = 1e-5, tol: float = 1e-5,
     currently poked Param and must return the same loss as a plain float
     (callers use it to skip recomputing stages the poked param cannot reach).
     """
+    for name, v in (("h", h), ("tol", tol)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValidationError(f"grad_check: {name} must be a finite number > 0, got {v}")
     params = [p for p in params if isinstance(p, Param) and p.trainable]
     t0 = time.perf_counter()
 

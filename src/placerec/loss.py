@@ -12,21 +12,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, as_tensor, tape_record, taping, mark_constant
-from .errors import ContractError, ShapeError, ValidationError
+from .errors import ContractError, ShapeError
 from .ops import matmul, transpose
+from .schema import check, setting
 
 
 @dataclass
 class LossConfig:
-    alpha: float = 1.0
-    beta: float = 50.0
-    lam: float = 0.0      # similarity offset lambda
-    margin: float = 0.1   # mining margin epsilon
+    alpha: float = setting(1.0, gt=0)
+    beta: float = setting(50.0, gt=0)
+    lam: float = setting(0.0, key="lambda")   # similarity offset lambda
+    margin: float = 0.1                       # mining margin epsilon
 
     def validate(self) -> None:
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValidationError(
-                f"alpha and beta must be positive, got {self.alpha}, {self.beta}")
+        check(self, "loss")
 
 
 def similarity_matrix(descriptors) -> Tensor:

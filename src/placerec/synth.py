@@ -20,6 +20,7 @@ import numpy as np
 
 from . import fileformats
 from .errors import ValidationError
+from .schema import check, setting
 
 SPLITS = ("train", "db", "query")
 
@@ -30,18 +31,15 @@ class Perturbation:
     # place can reach near-perfect held-out recall: photometric variation is
     # heavy, spatial translation off. Translation is brutal for a random
     # (untrained) patch encoder; turn shift_px up for harder corpora.
-    shift_px: int = 0
-    noise_std: float = 0.05
-    brightness_range: tuple = (0.8, 1.2)
+    shift_px: int = setting(0, ge=0)
+    noise_std: float = setting(0.05, ge=0)
+    brightness_range: tuple[float, float] = (0.8, 1.2)
 
     def validate(self, image_size: int) -> None:
-        if self.shift_px < 0:
-            raise ValidationError(f"perturbation.shift_px must be >= 0, got {self.shift_px}")
+        check(self, "perturbation")
         if self.shift_px >= image_size / 4:
             raise ValidationError(
                 f"perturbation.shift_px {self.shift_px} must be < image_size/4 = {image_size / 4}")
-        if self.noise_std < 0:
-            raise ValidationError(f"perturbation.noise_std must be >= 0, got {self.noise_std}")
         lo, hi = self.brightness_range
         if not (0 < lo <= hi):
             raise ValidationError(
@@ -50,20 +48,14 @@ class Perturbation:
 
 @dataclass
 class SynthConfig:
-    places: int = 32
-    views_per_place: int = 4
-    image_size: int = 32
+    places: int = setting(32, ge=1)
+    views_per_place: int = setting(4, ge=2)
+    image_size: int = setting(32, ge=4)
     perturbation: Perturbation = field(default_factory=Perturbation)
-    seed: int = 11
+    seed: int = setting(11, ge=0)
 
     def validate(self) -> None:
-        if self.places < 1:
-            raise ValidationError(f"synth.places must be >= 1, got {self.places}")
-        if self.views_per_place < 2:
-            raise ValidationError(
-                f"synth.views_per_place must be >= 2, got {self.views_per_place}")
-        if self.image_size < 4:
-            raise ValidationError(f"synth.image_size must be >= 4, got {self.image_size}")
+        check(self, "synth")
         self.perturbation.validate(self.image_size)
 
 
@@ -96,9 +88,6 @@ class Manifest:
         if split not in SPLITS:
             raise ValidationError(f"unknown split {split!r}, expected one of {SPLITS}")
         return [r for r in self.rows if r.split == split]
-
-    def place_of(self) -> dict:
-        return {r.image_id: r.place_id for r in self.rows}
 
 
 def write_manifest(path, manifest: Manifest) -> None:

@@ -8,9 +8,7 @@ from placerec.backbone import (
     build_backbone,
     encoder_block,
     forward_collect,
-    load_feature_stack,
     patch_embed,
-    save_feature_stack,
 )
 from placerec.errors import ShapeError, ValidationError
 from placerec.ops import patchify
@@ -117,14 +115,3 @@ def test_config_validation():
         ViTConfig(image_size=8, patch_size=3, d=16, depth=2, heads=2).validate()
     with pytest.raises(ValidationError):
         ViTConfig(image_size=8, patch_size=4, d=15, depth=2, heads=2).validate()
-
-
-def test_feature_stack_roundtrip(tmp_path, rng):
-    bb = build_backbone(CFG)
-    stack = forward_collect(Tensor(image(rng)), bb)
-    path = tmp_path / "stack.edtf"
-    save_feature_stack(path, stack)
-    back = load_feature_stack(path)
-    assert len(back) == len(stack)
-    for za, zb in zip(stack, back):
-        np.testing.assert_allclose(zb.data, za.data, atol=1e-6)  # stored as f32

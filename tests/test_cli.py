@@ -311,3 +311,58 @@ def test_cli_import_loads_no_scipy():
     where, loaded = done.stdout.splitlines()
     assert Path(where).resolve().parent.parent == Path(src)
     assert loaded == "[]"
+
+
+@pytest.mark.parametrize("command", ["gradcheck", "train"])
+@pytest.mark.parametrize("section", ["backbone", "lopa", "aggregator", "train"])
+def test_negative_seed_exits_1(tmp_path, capsys, command, section):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({section: {"seed": -1}}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg)]
+    if command == "train":
+        argv += ["--data", str(tmp_path / "corpus"), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert _one_error_line(captured.err) == f"error: {section}.seed must be >= 0, got -1"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_synth_negative_seed_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"places": 4, "seed": -1}))
+    out = tmp_path / "corpus"
+    capsys.readouterr()
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert _one_error_line(err) == "error: synth.seed must be >= 0, got -1"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_gradcheck_rejects_bad_tol(capsys, tol):
+    capsys.readouterr()
+    assert main(["gradcheck", f"--tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert _one_error_line(captured.err).startswith("error: --tol must be a finite number > 0")
+    assert "gradcheck" not in captured.out
+
+
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    import placerec.cli as cli
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 71.1 PiB for an array with shape "
+                          "(156250000000000, 64) and data type float64")
+
+    monkeypatch.setattr(cli, "memory_report", no_memory)
+    capsys.readouterr()
+    assert main(["memreport"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert _one_error_line(captured.err).startswith("error: out of memory: Unable to allocate")
+    assert captured.out == ""

@@ -6,12 +6,10 @@ from placerec.errors import FormatError
 from placerec.fileformats import (
     read_checkpoint,
     read_descriptors,
-    read_feature_stack,
     read_image,
     read_sidecar,
     write_checkpoint,
     write_descriptors,
-    write_feature_stack,
     write_image,
     write_sidecar,
 )
@@ -23,16 +21,6 @@ def test_image_roundtrip_f32_storage(tmp_path, rng):
     back = read_image(tmp_path / "x.edti")
     assert back.dtype == np.float64  # promoted on read
     np.testing.assert_array_equal(back, img.astype(np.float32).astype(np.float64))
-
-
-def test_feature_stack_roundtrip_f32(tmp_path, rng):
-    layers = [rng.normal(size=(5, 16)) for _ in range(3)]
-    write_feature_stack(tmp_path / "s.edtf", layers)
-    back = read_feature_stack(tmp_path / "s.edtf")
-    assert len(back) == 3
-    for a, b in zip(layers, back):
-        assert b.dtype == np.float64  # promoted on read
-        np.testing.assert_array_equal(b, a.astype(np.float32).astype(np.float64))
 
 
 def test_descriptor_roundtrip(tmp_path, rng):

@@ -8,7 +8,7 @@ import pytest
 
 from placerec import gradcheck
 from placerec.autodiff import Param, Tensor, tape_record, taping
-from placerec.errors import DegenerateInputError, NumericalError, ShapeError
+from placerec.errors import DegenerateInputError, NumericalError, ShapeError, ValidationError
 from placerec.gradcheck import grad_check
 from placerec.ops import matmul, sum_all
 
@@ -67,6 +67,14 @@ def test_fast_eval_disagreement_is_caught(rng):
 
     report = grad_check(f, [a], tol=1e-6, fast_eval=lambda _p: 42.0)
     assert not report.ok
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("name", ["h", "tol"])
+def test_bad_step_or_tolerance_rejected(name, value):
+    p = Param([1.5], name="p")
+    with pytest.raises(ValidationError, match=f"grad_check: {name} must be a finite number > 0"):
+        grad_check(lambda: sum_all(p.read()), [p], **{name: value})
 
 
 def test_nonscalar_loss_rejected():
