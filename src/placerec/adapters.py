@@ -26,7 +26,11 @@ from .schema import check, setting
 @dataclass
 class LoPAConfig:
     rank: int = setting(4, ge=1)
-    scale: float = setting(0.5, ge=0)
+    # Adam moves a weight by up to ~3.2 x train.lr a step, and this scales
+    # the adapter branch: 20 epochs at the default widths overflow the
+    # forward once train.lr x scale nears 1e20. The two ceilings keep that
+    # product at most 1e3.
+    scale: float = setting(0.5, ge=0, le=1e3)
     depth: int = setting(4, ge=1)
     seed: int = setting(2, ge=0)
 

@@ -26,7 +26,7 @@ class TrainConfig:
     epochs: int = setting(20, ge=1)
     p: int = setting(8, key="P", ge=2)    # places per batch
     k: int = setting(2, key="K", ge=2)    # views per place
-    lr: float = setting(1e-4, ge=0)
+    lr: float = setting(1e-4, ge=0, le=1.0)   # ceiling: see LoPAConfig.scale
     lr_decay: float = setting(0.7, gt=0, le=1)
     decay_every: int = setting(3, ge=1)   # epochs between decays
     seed: int = setting(7, ge=0)
@@ -100,7 +100,7 @@ def load_run_config(path) -> RunConfig:
 
 
 def synth_config_from_dict(d: dict) -> SynthConfig:
-    cfg = schema.load(SynthConfig, _root(d))
+    cfg = schema.load(SynthConfig, _root(d), "synth")
     cfg.validate()
     return cfg
 

@@ -19,7 +19,8 @@ from .schema import check, setting
 
 @dataclass
 class LossConfig:
-    alpha: float = setting(1.0, gt=0)
+    # log(1 + n) / alpha, the positive term, overflows below this floor
+    alpha: float = setting(1.0, ge=1e-300)
     beta: float = setting(50.0, gt=0)
     lam: float = setting(0.0, key="lambda")   # similarity offset lambda
     margin: float = 0.1                       # mining margin epsilon

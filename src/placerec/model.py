@@ -106,10 +106,6 @@ def describe_stack(model: DescriptorModel, stack) -> Tensor:
     return aggregate(y, model.aggregator)
 
 
-def describe_image(model: DescriptorModel, image) -> Tensor:
-    return describe_stack(model, feature_stack(model, image))
-
-
 def save_model(path, model: DescriptorModel) -> None:
     tensors = {name: p.value.data for name, p in named_params(model).items()}
     fileformats.write_checkpoint(path, model.run_cfg.to_dict(), tensors)

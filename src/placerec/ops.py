@@ -346,6 +346,27 @@ def sum_all(x) -> Tensor:
     return out
 
 
+def inner(x, c) -> Tensor:
+    """Scalar sum(x * c) against a constant array c of x's shape (no gradient
+    for c). Its gradient in x is exactly c, so a backward sweep from it
+    carries an adjoint c computed elsewhere into x's graph."""
+    x = as_tensor(x)
+    c = np.asarray(c, dtype=np.float64)
+    if c.shape != x.shape:
+        raise ShapeError(f"inner shapes differ: {x.shape} and {c.shape}")
+    out = Tensor(np.vdot(x.data, c))
+    if taping():
+        xu = x.uid
+
+        def bwd(g, acc):
+            acc(xu, g * c)
+
+        tape_record(out, bwd, (c,))
+    else:
+        mark_constant(out)
+    return out
+
+
 def concat_rows(parts) -> Tensor:
     """Join tensors along the row (second-to-last) axis.
 

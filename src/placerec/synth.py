@@ -36,14 +36,15 @@ class Perturbation:
     brightness_range: tuple[float, float] = (0.8, 1.2)
 
     def validate(self, image_size: int) -> None:
-        check(self, "perturbation")
+        check(self, "synth.perturbation")
         if self.shift_px >= image_size / 4:
             raise ValidationError(
-                f"perturbation.shift_px {self.shift_px} must be < image_size/4 = {image_size / 4}")
+                f"synth.perturbation.shift_px {self.shift_px} must be < synth.image_size/4"
+                f" = {image_size / 4}")
         lo, hi = self.brightness_range
         if not (0 < lo <= hi):
             raise ValidationError(
-                f"perturbation.brightness_range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+                f"synth.perturbation.brightness_range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
 
 
 @dataclass
@@ -216,8 +217,3 @@ class BatchSampler:
                 ids.extend(views.tolist())
                 pids.extend([pl] * self.k)
             yield ids, pids
-
-
-def sample_batch(manifest: Manifest, p: int, k: int, rng: np.random.Generator):
-    """One P x K batch drawn uniformly without replacement."""
-    return next(BatchSampler(manifest, p, k, rng).epoch())

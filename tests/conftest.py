@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -18,3 +20,15 @@ def tiny_run_config():
         "aggregator": {"L_dec": 1, "M": 4, "heads": 2, "d_out": 4, "M_out": 4},
         "train": {"epochs": 2, "P": 2, "K": 2},
     })
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_child_process():
+    """Fail a test after which a forked child is still running or unreaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:       # no children at all
+        return
+    state = "still running" if pid == 0 else f"exited unreaped (status {status})"
+    pytest.fail(f"a child process is {state} after the test")

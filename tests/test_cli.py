@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,22 @@ def test_train_non_finite_lr_exits_1(ws, tmp_path, capsys, literal):
     assert not out.exists()
 
 
+def test_train_lr_beyond_ceiling_exits_1(ws, tmp_path, capsys):
+    """A finite lr past the ceiling: one line naming train.lr, before any
+    step could overflow."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**TINY_RUN, "train": {**TINY_RUN["train"], "lr": 1e300}}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(cfg), "--data", ws["data"], "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "step=" not in captured.out
+    assert _one_error_line(captured.err) == "error: train.lr must be in [0, 1.0], got 1e+300"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,literal", [("noise_std", "NaN"),
                                          ("brightness_range", "[0.9, Infinity]")])
 def test_synth_non_finite_perturbation_exits_1(tmp_path, capsys, key, literal):
@@ -204,7 +221,7 @@ def test_synth_non_finite_perturbation_exits_1(tmp_path, capsys, key, literal):
     assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert _one_error_line(err).startswith(f"error: perturbation.{key}")
+    assert _one_error_line(err).startswith(f"error: synth.perturbation.{key}")
     assert "must be a finite number" in err
     assert not out.exists()
 
@@ -224,7 +241,7 @@ def test_extract_refuses_non_finite_rows(ws):
 
 
 def test_extract_chunking_does_not_change_rows(ws):
-    from placerec.model import describe_image, load_model
+    from placerec.model import describe_stack, feature_stack, load_model
     from placerec.retrieval import extract_descriptors
     from placerec.synth import load_image, read_manifest
 
@@ -234,7 +251,8 @@ def test_extract_chunking_does_not_change_rows(ws):
     assert len(ids) % 5                     # a ragged last chunk
     _, five, _ = extract_descriptors(model, manifest, ws["data"], "train", chunk=5)
     np.testing.assert_array_equal(five, one)
-    single = np.stack([describe_image(model, load_image(ws["data"], i)).data for i in ids])
+    single = np.stack([describe_stack(model, feature_stack(model, load_image(ws["data"], i))).data
+                       for i in ids])
     np.testing.assert_allclose(five, single, rtol=0, atol=1e-12)
 
 

@@ -179,12 +179,12 @@ def test_synth_nested_perturbation():
 
 
 def test_synth_unknown_key():
-    with pytest.raises(ValidationError, match="unknown config key blur"):
+    with pytest.raises(ValidationError, match=r"unknown config key synth\.blur"):
         synth_config_from_dict({"blur": 1})
 
 
 def test_synth_unknown_perturbation_key():
-    with pytest.raises(ValidationError, match=r"perturbation\.rotate"):
+    with pytest.raises(ValidationError, match=r"synth\.perturbation\.rotate"):
         synth_config_from_dict({"perturbation": {"rotate": 15}})
 
 
@@ -223,7 +223,7 @@ def test_synth_config_rejects_non_finite(tmp_path, literal):
     p = tmp_path / "synth.json"
     p.write_text(f'{{"perturbation": {{"noise_std": {literal}}}}}')
     with pytest.raises(ValidationError,
-                       match=r"^perturbation\.noise_std must be a finite number"):
+                       match=r"^synth\.perturbation\.noise_std must be a finite number"):
         load_synth_config(p)
 
 
@@ -235,7 +235,7 @@ def test_synth_brightness_range_rejects_non_finite(tmp_path, literal, slot):
     p = tmp_path / "synth.json"
     p.write_text(f'{{"perturbation": {{"brightness_range": [{pair[0]}, {pair[1]}]}}}}')
     with pytest.raises(ValidationError,
-                       match=rf"^perturbation\.brightness_range\[{slot}\] must be a finite"):
+                       match=rf"^synth\.perturbation\.brightness_range\[{slot}\] must be a finite"):
         load_synth_config(p)
 
 

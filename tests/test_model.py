@@ -9,7 +9,6 @@ from placerec.model import (
     all_params,
     batch_stacks,
     build_model,
-    describe_image,
     describe_stack,
     feature_stack,
     load_model,
@@ -64,12 +63,12 @@ def test_save_load_descriptors_bit_identical(tmp_path, model, rng):
     # perturb trainables away from init so the test is not about zeros
     for p in trainable_params(model):
         p.value.data += rng.normal(0.0, 0.05, p.value.data.shape)
-    before = [describe_image(model, im).data.copy() for im in imgs]
+    before = [describe_stack(model, feature_stack(model, im)).data.copy() for im in imgs]
 
     path = tmp_path / "m.edtc"
     save_model(path, model)
     again = load_model(path)
-    after = [describe_image(again, im).data for im in imgs]
+    after = [describe_stack(again, feature_stack(again, im)).data for im in imgs]
     for a, b in zip(before, after):
         np.testing.assert_array_equal(a, b)
 

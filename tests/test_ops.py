@@ -15,6 +15,7 @@ from placerec.ops import (
     add,
     concat_rows,
     gelu,
+    inner,
     l2_normalize,
     layer_norm,
     linear,
@@ -337,3 +338,20 @@ def test_grad_patchify_batch(rng):
 def test_grad_transpose_axes(rng):
     x = Param(rng.normal(size=(2, 3, 4)), name="x")
     _check(lambda: sum_all(scale(transpose_axes(x.read(), (1, 2, 0)), 0.5)), x)
+
+
+def test_inner_carries_its_constant_as_the_adjoint_exactly(rng):
+    """A backward sweep from inner(y, c) leaves the same gradients as one
+    that starts y's adjoint at c, bit for bit."""
+    x = Param(rng.normal(size=(3, 4)), name="x")
+    w = Param(rng.normal(size=(4, 5)), name="w")
+    c = rng.normal(size=(3, 5))
+    with Tape() as tape:
+        y = matmul(x.read(), w.read())
+        root = inner(y, c)
+    assert float(root.data) == float(np.vdot(y.data, c))
+    tape.backward(root)
+    np.testing.assert_array_equal(x.grad, c @ w.value.data.T)
+    np.testing.assert_array_equal(w.grad, x.value.data.T @ c)
+    with pytest.raises(ShapeError, match="inner shapes differ"):
+        inner(y, c.T)

@@ -2,15 +2,18 @@
 import dataclasses
 import json
 import struct
+import warnings
 
+import numpy as np
 import pytest
 
 from placerec.adapters import LoPAConfig
 from placerec.config import RunConfig, run_config_from_dict, synth_config_from_dict
 from placerec.errors import ValidationError
-from placerec.model import build_model, save_model
+from placerec.model import build_model, feature_stack, save_model, trainable_params
 from placerec import schema
 from placerec.synth import Perturbation, SynthConfig
+from placerec.training import Adam, train_step
 
 # the config block of a default model's checkpoint, as written before the
 # schema moved onto the dataclass fields; checkpoints must stay readable
@@ -86,12 +89,15 @@ def test_zero_seeds_accepted():
     ({"backbone": {"heads": 0}}, "backbone.heads must be >= 1, got 0"),
     ({"aggregator": {"L_dec": -1}}, "aggregator.L_dec must be >= 0, got -1"),
     ({"aggregator": {"M_out": 0}}, "aggregator.M_out must be >= 1, got 0"),
-    ({"lopa": {"scale": -0.5}}, "lopa.scale must be >= 0, got -0.5"),
-    ({"loss": {"alpha": 0}}, "loss.alpha must be > 0, got 0.0"),
+    ({"lopa": {"scale": -0.5}}, "lopa.scale must be in [0, 1000.0], got -0.5"),
+    ({"loss": {"alpha": 0}}, "loss.alpha must be >= 1e-300, got 0.0"),
     ({"loss": {"beta": -1.0}}, "loss.beta must be > 0, got -1.0"),
     ({"train": {"K": 1}}, "train.K must be >= 2, got 1"),
     ({"train": {"lr_decay": 0}}, "train.lr_decay must be in (0, 1], got 0.0"),
     ({"train": {"lr_decay": 1.5}}, "train.lr_decay must be in (0, 1], got 1.5"),
+    ({"train": {"lr": 1e300}}, "train.lr must be in [0, 1.0], got 1e+300"),
+    ({"lopa": {"scale": 1e300}}, "lopa.scale must be in [0, 1000.0], got 1e+300"),
+    ({"loss": {"alpha": 1e-308}}, "loss.alpha must be >= 1e-300, got 1e-308"),
 ])
 def test_bound_names_the_json_key(config, message):
     with pytest.raises(ValidationError) as exc:
@@ -103,12 +109,39 @@ def test_bound_edges_accepted():
     rc = run_config_from_dict({"lopa": {"scale": 0}, "train": {"lr": 0, "lr_decay": 1},
                                "aggregator": {"L_dec": 0}})
     assert (rc.lopa.scale, rc.train.lr, rc.train.lr_decay, rc.aggregator.l_dec) == (0, 0, 1, 0)
+    rc = run_config_from_dict({"lopa": {"scale": 1e3}, "train": {"lr": 1.0},
+                               "loss": {"alpha": 1e-300}})
+    assert (rc.lopa.scale, rc.train.lr, rc.loss.alpha) == (1e3, 1.0, 1e-300)
+
+
+# each numeric bound the formulas need, alone and all together
+EDGES = [{"train": {"lr": 1.0}}, {"lopa": {"scale": 1e3}}, {"loss": {"alpha": 1e-300}},
+         {"train": {"lr": 1.0}, "lopa": {"scale": 1e3}, "loss": {"alpha": 1e-300}}]
+
+
+@pytest.mark.parametrize("edge", EDGES, ids=["lr", "scale", "alpha", "all"])
+def test_one_step_train_at_each_bound_ends_finite(tiny_run_config, rng, edge):
+    """One Adam step at the edge, then a second forward: every parameter and
+    both losses finite, with no overflow warning on the way."""
+    cfg = tiny_run_config.to_dict()
+    for section, values in edge.items():
+        cfg[section].update(values)
+    rc = run_config_from_dict(cfg)
+    model = build_model(rc)
+    stacks = [[t.data for t in feature_stack(model, rng.normal(size=(8, 8, 1)))]
+              for _ in range(4)]
+    opt = Adam(trainable_params(model), lr=rc.train.lr)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        losses = [train_step(model, stacks, [0, 0, 1, 1], rc.loss, opt).loss for _ in range(2)]
+    assert np.isfinite(losses).all()
+    assert all(np.isfinite(p.value.data).all() for p in trainable_params(model))
 
 
 def test_nan_outside_every_bound():
     # dataclasses built in code skip the JSON type check; NaN must still fail
-    with pytest.raises(ValidationError, match=r"^lopa\.scale must be >= 0, got nan$"):
+    with pytest.raises(ValidationError, match=r"^lopa\.scale must be in \[0, 1000\.0\], got nan$"):
         LoPAConfig(scale=float("nan")).validate()
-    with pytest.raises(ValidationError, match=r"^perturbation\.noise_std must be >= 0"):
+    with pytest.raises(ValidationError, match=r"^synth\.perturbation\.noise_std must be >= 0"):
         Perturbation(noise_std=float("nan")).validate(16)
 

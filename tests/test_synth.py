@@ -17,7 +17,6 @@ from placerec.synth import (
     load_image,
     read_manifest,
     render_view,
-    sample_batch,
     split_for_view,
     write_manifest,
 )
@@ -172,7 +171,7 @@ def _train_manifest(places, views=4):
 
 def test_sampler_batch_shape(rng):
     m = _train_manifest(6)
-    ids, pids = sample_batch(m, p=3, k=2, rng=rng)
+    ids, pids = next(BatchSampler(m, p=3, k=2, rng=rng).epoch())
     assert len(ids) == 6 and len(pids) == 6
     for pid in set(pids):
         assert pids.count(pid) == 2
