@@ -5,16 +5,22 @@ Per-head projections are stored stacked: w_q[(heads, d, d_h)] holds one
 d x d_h matrix per head, biases as (heads, 1, d_h). Queries and keys may
 carry different leading batch shapes as long as they broadcast (a rank-2
 query against a rank-3 key batch is the common case inside the decoder).
+
+`mha` is written over an op set (see `ops`): the taped wrappers by default,
+or the bare kernels with every weight an ndarray, as the frozen encoder
+runs it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Param, Tensor, as_tensor
+from . import ops
+from .autodiff import Param, Tensor
 from .errors import ShapeError, ValidationError
-from .ops import add, linear, matmul, reshape, scale, softmax_rows, transpose, transpose_axes
+from .ops import matmul  # noqa: F401  (kept as a module attribute for tracers)
 
 
 @dataclass
@@ -59,18 +65,17 @@ def init_mha(rng: np.random.Generator, d: int, heads: int,
     )
 
 
-def _heads_in(x: Tensor, w: Param, b: Param) -> Tensor:
+def _heads_in(x, w, b, op):
     # (B, n, d) -> (B, heads, n, d_h) via broadcast matmul with (heads, d, d_h)
     bsz, n, d = x.shape
-    return add(matmul(reshape(x, (bsz, 1, n, d)), w), b)
+    return op.add(op.matmul(op.reshape(x, (bsz, 1, n, d)), w), b)
 
 
-def mha(q_in, k_in, v_in, p: MHAParams) -> Tensor:
+def mha(q, k, v, p: MHAParams, op=ops) -> Tensor:
     """softmax(q k^T / sqrt(d_h)) v per head, heads concatenated, projected by w_o."""
-    q, k, v = as_tensor(q_in), as_tensor(k_in), as_tensor(v_in)
     if k.shape != v.shape:
         raise ShapeError(f"key/value shapes differ: {k.shape} vs {v.shape}")
-    if q.ndim not in (2, 3) or k.ndim not in (2, 3):
+    if len(q.shape) not in (2, 3) or len(k.shape) not in (2, 3):
         raise ShapeError(f"mha expects rank 2 or 3 inputs, got {q.shape} and {k.shape}")
     d = q.shape[-1]
     if k.shape[-1] != d:
@@ -80,22 +85,21 @@ def mha(q_in, k_in, v_in, p: MHAParams) -> Tensor:
     heads = p.heads
     dh = d // heads
 
-    flat = q.ndim == 2 and k.ndim == 2
-    q3 = q if q.ndim == 3 else reshape(q, (1,) + tuple(q.shape))
-    k3 = k if k.ndim == 3 else reshape(k, (1,) + tuple(k.shape))
-    v3 = v if v.ndim == 3 else reshape(v, (1,) + tuple(v.shape))
+    flat = len(q.shape) == 2 and len(k.shape) == 2
+    q3, k3, v3 = (x if len(x.shape) == 3 else op.reshape(x, (1,) + tuple(x.shape))
+                  for x in (q, k, v))
 
-    qh = _heads_in(q3, p.w_q, p.b_q)             # (Bq, h, a, d_h)
-    kh = _heads_in(k3, p.w_k, p.b_k)             # (Bk, h, b, d_h)
-    vh = _heads_in(v3, p.w_v, p.b_v)
+    qh = _heads_in(q3, p.w_q, p.b_q, op)         # (Bq, h, a, d_h)
+    kh = _heads_in(k3, p.w_k, p.b_k, op)         # (Bk, h, b, d_h)
+    vh = _heads_in(v3, p.w_v, p.b_v, op)
 
-    logits = scale(matmul(qh, transpose(kh)), 1.0 / np.sqrt(dh))
-    attn = softmax_rows(logits)                   # (B, h, a, b)
-    ctx = matmul(attn, vh)                        # (B, h, a, d_h)
+    logits = op.scale(op.matmul(qh, op.transpose(kh)), 1.0 / math.sqrt(dh))
+    attn = op.softmax_rows(logits)                # (B, h, a, b)
+    ctx = op.matmul(attn, vh)                     # (B, h, a, d_h)
 
     bsz, _, a, _ = ctx.shape
-    merged = reshape(transpose_axes(ctx, (0, 2, 1, 3)), (bsz, a, heads * dh))
-    out = linear(merged, p.w_o, p.b_o)
+    merged = op.reshape(op.transpose_axes(ctx, (0, 2, 1, 3)), (bsz, a, heads * dh))
+    out = op.linear(merged, p.w_o, p.b_o)
     if flat:
-        out = reshape(out, tuple(out.shape[1:]))
+        out = op.reshape(out, tuple(out.shape[1:]))
     return out

@@ -1,21 +1,28 @@
 """Frozen patch-token encoder.
 
 A small pre-norm transformer over non-overlapping image patches. Every
-parameter is frozen at construction (seeded init) and the whole forward
-normally runs inside a frozen region, so the tape never retains backbone
-activations; the per-layer outputs z_0..z_L come back as constant leaves
-for the adapter ladder to consume.
+parameter is frozen at construction (seeded init), and the per-layer outputs
+z_0..z_L come back as constant leaves for the adapter ladder to consume.
+
+`patch_embed`, `encoder_block` and `encode` are written once over an op set
+(see `ops`). The normal frozen forward runs them on the bare kernels in
+float32, on weights cast for each call, inside a frozen region, and upcasts
+each layer to a float64 constant, so the tape never sees the encoder's
+interior. The taped float64 wrappers run the same definitions when the
+encoder is recorded, as the serial-adapter reference does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
+from . import ops
 from .attention import MHAParams, init_mha, mha
-from .autodiff import Param, Tensor, frozen_region, region
+from .autodiff import Param, Tensor, frozen_region, mark_constant, region
 from .errors import ShapeError, ValidationError
-from .ops import add, concat_rows, gelu, layer_norm, linear, matmul, patchify
+from .ops import Kernels
+from .ops import matmul  # noqa: F401  (kept as a module attribute for tracers)
 from .schema import check, setting
 
 # list of (N+1, d) or (B, N+1, d) token tensors [z_0 .. z_L]
@@ -115,42 +122,70 @@ def build_backbone(cfg: ViTConfig) -> Backbone:
     return bb
 
 
-def patch_embed(image, bb: Backbone) -> Tensor:
+def as_arrays(node, dtype):
+    """A copy of a params tree (dataclasses and lists over Params) in which
+    every Param is its current value cast to `dtype`, for the bare kernels."""
+    if isinstance(node, Param):
+        return node.value.data.astype(dtype)
+    if isinstance(node, list):
+        return [as_arrays(n, dtype) for n in node]
+    if is_dataclass(node):
+        return replace(node, **{f.name: as_arrays(getattr(node, f.name), dtype)
+                                for f in fields(node) if f.init})
+    return node
+
+
+def patch_embed(image, bb: Backbone, op=ops):
     """image (h, w, c) -> (N+1, d) tokens, or a (B, h, w, c) batch -> (B, N+1, d):
     class token at row 0, position embeddings added to the patch tokens only."""
     cfg = bb.cfg
-    img = image if isinstance(image, Tensor) else Tensor(image)
     want = (cfg.image_size, cfg.image_size, cfg.channels)
-    if img.ndim not in (3, 4) or tuple(img.shape[-3:]) != want:
-        raise ShapeError(f"image shape {tuple(img.shape)} does not match config {want}, "
+    if len(image.shape) not in (3, 4) or tuple(image.shape[-3:]) != want:
+        raise ShapeError(f"image shape {tuple(image.shape)} does not match config {want}, "
                          f"nor a batch (B, {', '.join(map(str, want))})")
-    tok = matmul(patchify(img, cfg.patch_size), bb.w_patch)
-    tok = add(tok, bb.pos_emb)
-    return concat_rows([bb.cls_token, tok])
+    tok = op.matmul(op.patchify(image, cfg.patch_size), bb.w_patch)
+    tok = op.add(tok, bb.pos_emb)
+    return op.concat_rows([bb.cls_token, tok])
 
 
-def encoder_block(z, blk: EncoderBlockParams) -> Tensor:
+def encoder_block(z, blk: EncoderBlockParams, op=ops):
     # pre-norm: z' = MHA(LN(z)) + z; out = MLP(LN(z')) + z'
-    zn = layer_norm(z, blk.ln1_g, blk.ln1_b)
-    z = add(mha(zn, zn, zn, blk.attn), z)
-    hidden = gelu(linear(layer_norm(z, blk.ln2_g, blk.ln2_b), blk.w1, blk.b1))
-    return add(linear(hidden, blk.w2, blk.b2), z)
+    zn = op.layer_norm(z, blk.ln1_g, blk.ln1_b)
+    z = op.add(mha(zn, zn, zn, blk.attn, op), z)
+    hidden = op.gelu(op.linear(op.layer_norm(z, blk.ln2_g, blk.ln2_b), blk.w1, blk.b1))
+    return op.add(op.linear(hidden, blk.w2, blk.b2), z)
+
+
+def encode(image, bb: Backbone, op=ops) -> list:
+    """[z_0 .. z_L] of `image` under the op set `op`; with `Kernels`, `bb` is
+    `as_arrays` of a Backbone and every layer is an ndarray of its dtype."""
+    z = patch_embed(image, bb, op)
+    stack = [z]
+    for blk in bb.blocks:
+        z = encoder_block(z, blk, op)
+        stack.append(z)
+    return stack
 
 
 def forward_collect(image, bb: Backbone, frozen: bool = True) -> IntermediateStack:
     """All layer outputs [z_0 .. z_L], depth+1 entries: (N+1, d) each for one
     image, (B, N+1, d) for a (B, h, w, c) batch, which the ops broadcast over.
 
-    frozen=True (the normal mode) runs the whole encoder inside a frozen
-    region; frozen=False records it on the tape under the "backbone" region
-    label, which the serial-adapter reference and equivalence tests use.
+    frozen=True (the normal mode) runs the encoder on the bare kernels in
+    float32 inside a frozen region, one image as a batch of one, and returns
+    each layer as the exact float64 upcast, marked constant on an active
+    tape. frozen=False records the taped float64 encoder under the
+    "backbone" region label, which the serial-adapter reference and
+    equivalence tests use.
     """
-    ctx = frozen_region("backbone") if frozen else region("backbone")
-    with ctx:
-        z = patch_embed(image, bb)
-        stack = [z]
-        for blk in bb.blocks:
-            z = encoder_block(z, blk)
-            stack.append(z)
+    if not frozen:
+        with region("backbone"):
+            return encode(image, bb)
+    with frozen_region("backbone"):
+        x = np.asarray(image.data if isinstance(image, Tensor) else image, dtype=np.float32)
+        one = x.ndim == 3
+        layers = encode(x[None] if one else x, as_arrays(bb, np.float32), Kernels)
+        stack = [Tensor(z[0] if one else z) for z in layers]
+        for z in stack:
+            mark_constant(z)
     return stack
-

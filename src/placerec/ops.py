@@ -1,20 +1,33 @@
-"""Differentiable ops over Tensors.
+"""Ops, each split into a bare ndarray kernel and a taped wrapper.
+
+A kernel (a static method of `Kernels`) is a pure function of ndarrays: no
+checks, no tape, and it computes in its inputs' dtype. The wrapper of the
+same name (a function of this module) takes Tensors or Params, checks its
+operands, calls the kernel, and records the adjoint closure on the active
+tape via tape_record, or a zero-byte marker inside frozen regions.
+
+Code written over an op set takes it as `op`: this module, whose wrappers
+tape in float64, or `Kernels`, which the frozen encoder runs in float32
+(`backbone.forward_collect`). Either way it is the same definition, and the
+same kernels compute it.
 
 Ops follow numpy broadcasting on leading axes, so the same code serves a
 single token matrix (rank 2) and a batch of them (rank 3+). Softmax,
 layer norm, and l2 normalization act along the last axis; matmul contracts
-the last two. Every op records its adjoint closure on the active tape via
-tape_record, or a zero-byte marker inside frozen regions.
+the last two. Scalar constants are Python floats: under NumPy 2's promotion
+rules an np.float64 scalar would turn float32 work into float64.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .autodiff import Tensor, as_tensor, mark_constant, tape_record, taping
 from .errors import DegenerateInputError, ShapeError
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -30,6 +43,98 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
+# Kernels whose adjoint needs more than their output return it alongside.
+
+def _layer_norm(x, g, b, eps):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = np.square(x - mu).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return xhat * g + b, xhat, inv
+
+
+def _gelu(x):
+    cdf = norm_cdf(x)
+    return x * cdf, cdf
+
+
+def _row_norms(x):
+    return np.sqrt(np.square(x).sum(axis=-1, keepdims=True))
+
+
+class Kernels:
+    """The bare kernel of every op, as an op set (see the module docstring)."""
+
+    @staticmethod
+    def matmul(a, b):
+        return a @ b
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def scale(x, c: float):
+        return x * c
+
+    @staticmethod
+    def transpose(x):
+        return np.swapaxes(x, -1, -2)
+
+    @staticmethod
+    def transpose_axes(x, perm):
+        return x.transpose(perm)
+
+    @staticmethod
+    def reshape(x, shape):
+        return x.reshape(shape)
+
+    @staticmethod
+    def softmax_rows(x):
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    @staticmethod
+    def layer_norm(x, g, b, eps: float = 1e-6):
+        return _layer_norm(x, g, b, eps)[0]
+
+    @staticmethod
+    def gelu(x):
+        return _gelu(x)[0]
+
+    @staticmethod
+    def l2_normalize(x):
+        return x / _row_norms(x)
+
+    @staticmethod
+    def linear(x, w, b):
+        return Kernels.add(Kernels.matmul(x, w), b)
+
+    @staticmethod
+    def sum_all(x):
+        return x.sum()
+
+    @staticmethod
+    def inner(x, c):
+        return np.vdot(x, c)
+
+    @staticmethod
+    def concat_rows(parts):
+        lead = np.broadcast_shapes(*(p.shape[:-2] for p in parts))
+        return np.concatenate([np.broadcast_to(p, lead + p.shape[-2:]) for p in parts],
+                              axis=-2)
+
+    @staticmethod
+    def patchify(x, patch: int):
+        lead, (h, w, c) = x.shape[:-3], x.shape[-3:]
+        k = len(lead)
+        perm = tuple(range(k)) + tuple(k + i for i in (0, 2, 1, 3, 4))
+        tiles = x.reshape(lead + (h // patch, patch, w // patch, patch, c)).transpose(perm)
+        return tiles.reshape(lead + ((h // patch) * (w // patch), patch * patch * c))
+
+
+# Taped wrappers ---------------------------------------------------------------
+
 def matmul(a, b) -> Tensor:
     """a @ b, contracting the last axis of a with the second-to-last of b."""
     a, b = as_tensor(a), as_tensor(b)
@@ -37,7 +142,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
+    out = Tensor(Kernels.matmul(a.data, b.data))
     if taping():
         ad, bd, au, bu = a.data, b.data, a.uid, b.uid
 
@@ -54,7 +159,7 @@ def matmul(a, b) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     try:
-        data = a.data + b.data
+        data = Kernels.add(a.data, b.data)
     except ValueError:
         raise ShapeError(f"add shapes do not broadcast: {a.shape} + {b.shape}") from None
     out = Tensor(data)
@@ -75,7 +180,7 @@ def scale(x, c: float) -> Tensor:
     """Multiply by a python scalar constant (no gradient for c)."""
     x = as_tensor(x)
     c = float(c)
-    out = Tensor(x.data * c)
+    out = Tensor(Kernels.scale(x.data, c))
     if taping():
         xu = x.uid
 
@@ -93,7 +198,7 @@ def transpose(x) -> Tensor:
     x = as_tensor(x)
     if x.ndim < 2:
         raise ShapeError(f"transpose needs rank >= 2, got {x.shape}")
-    out = Tensor(np.swapaxes(x.data, -1, -2))
+    out = Tensor(Kernels.transpose(x.data))
     if taping():
         xu = x.uid
 
@@ -110,7 +215,7 @@ def transpose_axes(x, perm) -> Tensor:
     x = as_tensor(x)
     perm = tuple(perm)
     inv = tuple(np.argsort(perm))
-    out = Tensor(x.data.transpose(perm))
+    out = Tensor(Kernels.transpose_axes(x.data, perm))
     if taping():
         xu = x.uid
 
@@ -125,7 +230,7 @@ def transpose_axes(x, perm) -> Tensor:
 
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(x.data.reshape(shape))
+    out = Tensor(Kernels.reshape(x.data, shape))
     if taping():
         xu, xsh = x.uid, x.shape
 
@@ -141,9 +246,7 @@ def reshape(x, shape) -> Tensor:
 def softmax_rows(x) -> Tensor:
     """Stable softmax along the last axis (per-row max subtraction)."""
     x = as_tensor(x)
-    m = x.data.max(axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = Kernels.softmax_rows(x.data)
     out = Tensor(p)
     if taping():
         xu = x.uid
@@ -166,11 +269,8 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
         raise ShapeError(
             f"layer_norm affine shapes {gt.shape}/{bt.shape} do not match width {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = np.square(x.data - mu).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gt.data + bt.data)
+    data, xhat, inv = _layer_norm(x.data, gt.data, bt.data, eps)
+    out = Tensor(data)
     if taping():
         xu, gu, bu, gd = x.uid, gt.uid, bt.uid, gt.data
 
@@ -218,7 +318,7 @@ _ERFC_R = tuple(0.5 * c for c in (
 _ERFC_S = (
     2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
     1.70814450747565897222e1, 9.60896809063285307036e0, 3.36907645100081516050e0)
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = math.sqrt(2.0)
 _PHI_SATURATED = 40.0  # Phi(-40) ~ 4e-350 is 0 in float64, Phi(40) is 1
 # elements per block: the three block buffers and the block's slices of input
 # and output (5 x 128 KiB) stay in a 2 MiB L2; smaller blocks pay the ~1 us
@@ -236,7 +336,8 @@ def _horner(x, coef, monic=False):
 
 
 def norm_cdf(x) -> np.ndarray:
-    """Standard normal CDF Phi(x) of a float64 array, elementwise.
+    """Standard normal CDF Phi(x), elementwise, in the dtype of a float32 or
+    float64 array (anything else is read as float64).
 
     The rational of |x| <= sqrt 2 runs in place over blocks of preallocated
     buffers, so no full-size temporary is made per Horner step; the few
@@ -244,13 +345,15 @@ def norm_cdf(x) -> np.ndarray:
     NaN, +-inf give 1 and 0, and under NumPy's default error handling no
     warning is raised for any input.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
     flat = x.reshape(-1)
     n = flat.size
-    out = np.empty(n)
+    out = np.empty(n, x.dtype)
     outside = np.empty(n, dtype=bool)
     m = min(n, _PHI_BLOCK)
-    cb, tb, db = np.empty(m), np.empty(m), np.empty(m)
+    cb, tb, db = np.empty(m, x.dtype), np.empty(m, x.dtype), np.empty(m, x.dtype)
     for s in range(0, n, _PHI_BLOCK):
         xs, o = flat[s:s + _PHI_BLOCK], out[s:s + _PHI_BLOCK]
         k = xs.size
@@ -290,8 +393,8 @@ def gelu(x) -> Tensor:
     """Exact erf-based GeLU: x * Phi(x)."""
     x = as_tensor(x)
     xd = x.data
-    cdf = norm_cdf(xd)
-    out = Tensor(xd * cdf)
+    data, cdf = _gelu(xd)
+    out = Tensor(data)
     if taping():
         xu = x.uid
 
@@ -308,7 +411,7 @@ def gelu(x) -> Tensor:
 def l2_normalize(x) -> Tensor:
     """Scale the last axis to unit Euclidean norm."""
     x = as_tensor(x)
-    n = np.sqrt(np.square(x.data).sum(axis=-1, keepdims=True))
+    n = _row_norms(x.data)
     if np.any(n == 0.0):
         raise DegenerateInputError("l2_normalize: zero vector")
     y = x.data / n
@@ -333,7 +436,7 @@ def linear(x, w, b) -> Tensor:
 def sum_all(x) -> Tensor:
     """Scalar sum of all entries."""
     x = as_tensor(x)
-    out = Tensor(x.data.sum())
+    out = Tensor(Kernels.sum_all(x.data))
     if taping():
         xu, xsh = x.uid, x.shape
 
@@ -354,7 +457,7 @@ def inner(x, c) -> Tensor:
     c = np.asarray(c, dtype=np.float64)
     if c.shape != x.shape:
         raise ShapeError(f"inner shapes differ: {x.shape} and {c.shape}")
-    out = Tensor(np.vdot(x.data, c))
+    out = Tensor(Kernels.inner(x.data, c))
     if taping():
         xu = x.uid
 
@@ -380,11 +483,9 @@ def concat_rows(parts) -> Tensor:
     if any(len(sh) < 2 or sh[-1] != shapes[0][-1] for sh in shapes):
         raise ShapeError(f"concat_rows parts disagree: {shapes}")
     try:
-        lead = np.broadcast_shapes(*(sh[:-2] for sh in shapes))
+        out = Tensor(Kernels.concat_rows([t.data for t in ts]))
     except ValueError:
         raise ShapeError(f"concat_rows leading axes do not broadcast: {shapes}") from None
-    out = Tensor(np.concatenate(
-        [np.broadcast_to(t.data, lead + sh[-2:]) for t, sh in zip(ts, shapes)], axis=-2))
     if taping():
         uids = [t.uid for t in ts]
 
@@ -409,13 +510,11 @@ def patchify(image, patch: int) -> Tensor:
     lead, (h, w, c) = tuple(x.shape[:-3]), x.shape[-3:]
     if h % patch or w % patch:
         raise ShapeError(f"image {h}x{w} not divisible by patch size {patch}")
-    gh, gw = h // patch, w // patch
-    k = len(lead)
-    perm = tuple(range(k)) + tuple(k + i for i in (0, 2, 1, 3, 4))
-    tiles = x.data.reshape(lead + (gh, patch, gw, patch, c)).transpose(perm)
-    out = Tensor(tiles.reshape(lead + (gh * gw, patch * patch * c)))
+    out = Tensor(Kernels.patchify(x.data, patch))
     if taping():
         xu = x.uid
+        gh, gw, k = h // patch, w // patch, len(lead)
+        perm = tuple(range(k)) + tuple(k + i for i in (0, 2, 1, 3, 4))
 
         def bwd(g, acc):
             t = g.reshape(lead + (gh, gw, patch, patch, c)).transpose(perm)

@@ -162,13 +162,15 @@ class Trainer:
 
     def fill(self, image_ids) -> None:
         """Cache the feature stacks of the uncached images, in one encoder pass."""
-        # frozen encoder: per-image features are constant across steps
+        # frozen encoder: per-image features are constant across steps. They
+        # are float64 upcasts of float32 values, so the float32 copies kept
+        # here are exact at half the bytes; batch_stacks upcasts them again.
         todo = [i for i in dict.fromkeys(image_ids) if i not in self._cache]
         if todo:
             images = stack_images([load_image(self.data_dir, i) for i in todo], todo)
-            layers = feature_stack(self.model, images)
+            layers = [z.data.astype(np.float32) for z in feature_stack(self.model, images)]
             for j, image_id in enumerate(todo):
-                self._cache[image_id] = [z.data[j] for z in layers]
+                self._cache[image_id] = [z[j] for z in layers]
 
     def stack_for(self, image_id: str):
         self.fill([image_id])

@@ -265,6 +265,40 @@ def test_gradcheck_large_beta(ws, tmp_path, capsys):
     assert "gradcheck pass" in capsys.readouterr().out
 
 
+def test_gradcheck_small_alpha(tmp_path, capsys):
+    """The loss grows like 1 / alpha, and the mirror's drift bound with it.
+
+    At alpha 1e-10 the loss is ~1e10, whose rounding leaves central
+    differences at h = 1e-5 a resolution of ~0.1, so the comparison runs at a
+    tolerance above that; the mirror must agree with the op graph regardless.
+    """
+    cfg = tmp_path / "alpha.json"
+    cfg.write_text(json.dumps({"loss": {"alpha": 1e-10}, "backbone": {"d": 16},
+                               "aggregator": {"M": 4}}))
+    assert main(["gradcheck", "--config", str(cfg), "--tol", "0.5"]) == 0
+    captured = capsys.readouterr()
+    assert "gradcheck pass" in captured.out and captured.err == ""
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1e-10])
+def test_gradcheck_drifting_mirror_exits_2(tmp_path, capsys, monkeypatch, alpha):
+    from placerec.fasteval import FastPipeline
+
+    full_loss = FastPipeline.full_loss
+
+    def off(fp):
+        loss = full_loss(fp)
+        return loss + 1e-6 * max(1.0, abs(loss))
+
+    monkeypatch.setattr(FastPipeline, "full_loss", off)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**TINY_RUN, "loss": {"alpha": alpha}}))
+    assert main(["gradcheck", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "probe evaluator disagrees with the op graph" in captured.err
+    assert "gradcheck" not in captured.out
+
+
 def test_memreport(ws, capsys):
     assert main(["memreport", "--config", ws["run_cfg"]]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -169,6 +169,32 @@ def test_norm_cdf_matches_libm_erf(x):
     _assert_phi([x])
 
 
+def test_norm_cdf_float32_keeps_its_dtype_and_tracks_float64():
+    # every grid point is a float32, so the float64 kernel sees the same input
+    x = np.linspace(-40.0, 40.0, 200_001).astype(np.float32)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = norm_cdf(x)
+        at_edges = norm_cdf(edges)
+    assert got.dtype == np.float32 and at_edges.dtype == np.float32
+    err = np.abs(got.astype(np.float64) - norm_cdf(x.astype(np.float64)))
+    assert err.max() <= 2.5e-7, (err.max(), x[err.argmax()])
+    assert got[0] == 0.0 and got[-1] == 1.0
+    assert at_edges[0] == at_edges[1] == 0.5
+    assert at_edges[2] == 1.0 and at_edges[3] == 0.0 and np.isnan(at_edges[4])
+
+
+def test_norm_cdf_constants_are_python_floats():
+    # under NumPy 2's promotion rules an np.float64 constant computes float32
+    # input in float64 (and casts back), losing the point of float32
+    from placerec import ops
+
+    consts = (ops._PHI_N + ops._PHI_D + ops._ERFC_P + ops._ERFC_Q + ops._ERFC_R
+              + ops._ERFC_S + (ops._SQRT2, ops._INV_SQRT2, ops._PHI_SATURATED))
+    assert all(type(c) is float for c in consts)
+
+
 def test_layer_norm_two_point_row():
     g = Param(np.ones(2))
     b = Param(np.zeros(2))

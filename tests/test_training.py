@@ -212,3 +212,23 @@ def test_trainer_cache_fill_is_batched_and_bit_identical(tiny_run_config, tmp_pa
         for c, z in zip(cached, single):
             np.testing.assert_array_equal(c, z.data)
     assert calls == [3, len(ids) - 3]
+
+
+def test_trainer_cache_holds_float32_and_batch_stacks_upcasts(tiny_run_config, tmp_path):
+    from placerec.synth import Perturbation, SynthConfig, generate, load_image
+
+    scfg = SynthConfig(places=2, views_per_place=4, image_size=8,
+                       perturbation=Perturbation(), seed=1)
+    manifest = generate(scfg, tmp_path)
+    model = build_model(tiny_run_config)
+    trainer = Trainer(model, manifest, tmp_path, LossConfig(), tiny_run_config.train, log=None)
+    ids = [r.image_id for r in manifest.split_rows("train")][:3]
+    trainer.fill(ids)
+    cached = [trainer.stack_for(i) for i in ids]
+    assert all(z.dtype == np.float32 for s in cached for z in s)
+    layers = batch_stacks(cached)
+    for l, z in enumerate(layers):
+        assert z.data.dtype == np.float64
+        for j, image_id in enumerate(ids):
+            single = feature_stack(model, load_image(tmp_path, image_id))[l]
+            np.testing.assert_array_equal(z.data[j], single.data)
