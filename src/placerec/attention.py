@@ -2,7 +2,9 @@
 aggregator.
 
 Per-head projections are stored stacked: w_q[(heads, d, d_h)] holds one
-d x d_h matrix per head, biases as (heads, 1, d_h). Queries and keys may
+d x d_h matrix per head, biases as (heads, 1, d_h). A projection runs as one
+GEMM against the heads merged side by side (`merged_heads`, a (d, heads *
+d_h) matrix), and its output splits back into heads. Queries and keys may
 carry different leading batch shapes as long as they broadcast (a rank-2
 query against a rank-3 key batch is the common case inside the decoder).
 
@@ -65,10 +67,19 @@ def init_mha(rng: np.random.Generator, d: int, heads: int,
     )
 
 
+def merged_heads(w, op):
+    """(heads, d, d_h) per-head projections -> one (d, heads * d_h) matrix,
+    the heads side by side."""
+    h, d, dh = w.shape
+    return op.reshape(op.transpose_axes(w, (1, 0, 2)), (d, h * dh))
+
+
 def _heads_in(x, w, b, op):
-    # (B, n, d) -> (B, heads, n, d_h) via broadcast matmul with (heads, d, d_h)
-    bsz, n, d = x.shape
-    return op.add(op.matmul(op.reshape(x, (bsz, 1, n, d)), w), b)
+    # (B, n, d) -> (B, heads, n, d_h): one GEMM against the merged heads
+    bsz, n, _ = x.shape
+    h, _, dh = w.shape
+    y = op.reshape(op.matmul(x, merged_heads(w, op)), (bsz, n, h, dh))
+    return op.add(op.transpose_axes(y, (0, 2, 1, 3)), b)
 
 
 def mha(q, k, v, p: MHAParams, op=ops) -> Tensor:

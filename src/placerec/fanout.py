@@ -4,25 +4,30 @@ fan_out: a caller deals its work round-robin into n shares, each a run of
 positions in serial order. Share 0 runs in this process and every other one
 in a forked child, which inherits the caller's state (a model, analytic
 gradients, cached intermediates) without pickling it and pickles only its
-result back through a pipe. A share stops at the first exception it meets
-and hands it back with its serial position; fan_out raises the one at the
+result back through a pipe, or writes it straight into a `shared_array`
+made before the fork. A share stops at the first exception it meets and
+hands it back with its serial position; fan_out raises the one at the
 smallest position, which is the error a one-process run would have raised.
 
 fork_replica: one forked child runs the same loop as the caller for a whole
-block, and the two swap arrays at the same points of that loop through a
-Peer: rows each computed for the other, or gradients each adds into its own.
-Forking, the pipes, and killing and reaping children happen in this module
-only.
+block. The two work on `shared_array`s made before the fork, and a Peer
+orders their writes: `Peer.barrier` returns in either process only once the
+other has reached the same barrier. A barrier moves one byte each way
+through a pipe; the data stays in the shared pages. A process waiting at a
+barrier polls its pipe for a while before it sleeps, because waking a
+sleeping process costs more than most waits. Forking, the pipes, and
+killing and reaping children happen in this module only.
 """
 from __future__ import annotations
 
-import bisect
-import itertools
+import math
+import mmap
 import os
 import pickle
 import select
 import signal
 import sys
+import time
 from contextlib import contextmanager
 from operator import itemgetter
 
@@ -30,11 +35,10 @@ import numpy as np
 
 from .errors import NumericalError
 
-# Largest write or read of one exchange, and the receive buffer's size: a
-# peer's bytes are taken in through this buffer rather than a copy of the
-# whole array.
-_PIECE = 32 * 1024
-_MAX_IOV = 64                   # arrays gathered into one writev
+# How long a process waiting at a barrier polls before it sleeps. A pair of
+# processes on a 2-vCPU VM paid ~1.2 ms per barrier when the waiting one
+# slept (the time to wake it) and ~50-100 us while it polled.
+_SPIN_S = 0.01
 
 
 def workers() -> int:
@@ -106,107 +110,54 @@ def _forked(n: int, run, label: str) -> list:
                 os.waitpid(pid, 0)
 
 
+def shared_array(shape, dtype=np.float64) -> np.ndarray:
+    """A zeroed array in an anonymous shared mapping: a process forked after
+    this call reads and writes the same pages. No file descriptor stays open;
+    the mapping goes with the last array that views it."""
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize), flags=mmap.MAP_SHARED)
+    return np.frombuffer(buf, dtype, count).reshape(shape)
+
+
 class _PeerLost(Exception):
-    """The other process closed its end of an exchange: it exited or failed."""
+    """The other process closed its end of a barrier: it exited or failed."""
 
 
 class Peer:
     """This process's end of the pipes to the other process of a pair.
 
-    rank is 0 in the process that forked and 1 in the replica. Both call the
-    same exchanges with arrays of matching sizes, in the same order. An
-    exchange sends and receives at once, in pieces of at most 32 KiB, so
-    neither side blocks on a full pipe while the other waits for it, at any
-    array size and any pipe capacity.
+    rank is 0 in the process that forked and 1 in the replica. Both call
+    barrier() the same number of times; whatever one wrote to shared memory
+    before a barrier, the other reads after it.
     """
 
     def __init__(self, rank: int, rfd: int, wfd: int):
         self.rank = rank
         self._rfd, self._wfd = rfd, wfd
         os.set_blocking(rfd, False)
-        os.set_blocking(wfd, False)
-        self._buf = bytearray(_PIECE)
+        self._poller = select.poll()
+        self._poller.register(rfd, select.POLLIN)
 
-    def swap(self, mine: np.ndarray, theirs: np.ndarray) -> None:
-        """Send `mine`; the peer's `mine` lands in `theirs` (C-contiguous float64)."""
-        self._exchange([mine], [theirs], np.copyto)
+    def barrier(self) -> None:
+        """Return once the peer has called barrier() as often as this process.
 
-    def add_from(self, arrays) -> None:
-        """arrays[i] += the peer's arrays[i], in place, for every i.
-
-        Both ends add the same two addends, so both end with the same bits.
+        The wait polls the pipe for up to _SPIN_S before it sleeps.
         """
-        self._exchange(arrays, arrays, lambda dst, src: np.add(dst, src, out=dst))
-
-    def _exchange(self, send, recv, combine) -> None:
-        out = [memoryview(a).cast("B") for a in send if a.size]
-        into = [a.reshape(-1) for a in recv if a.size]      # contiguous: views
-        out_ends = list(itertools.accumulate(m.nbytes for m in out))
-        in_ends = list(itertools.accumulate(a.size for a in into))
-        n_out = out_ends[-1] if out_ends else 0
-        n_in = 8 * in_ends[-1] if in_ends else 0
-        buf = memoryview(self._buf)
-        sent = got = held = 0           # held: bytes in buf, from stream offset got
-        poller = None
-        while sent < n_out or got < n_in:
-            n_sent = self._send(out, out_ends, sent) if sent < n_out else 0
-            sent += n_sent
-            # combining into the arrays being sent overwrites them, so a received
-            # byte is taken in only once the byte at its offset has gone out
-            limit = min(sent, n_in) if recv is send else n_in
-            n = 0
-            if got + held < limit:
-                try:
-                    n = os.readv(self._rfd, [buf[held:held + min(limit - got - held,
-                                                                 _PIECE - held)]])
-                except BlockingIOError:
-                    n = None
-                if n == 0:
-                    raise _PeerLost
-                if n:
-                    held += n
-                    whole = held // 8
-                    _combine_into(into, in_ends, got // 8,
-                                  np.frombuffer(self._buf, np.float64, whole), combine)
-                    got += 8 * whole
-                    held -= 8 * whole
-                    buf[:held] = buf[8 * whole:8 * whole + held]
-            if not (n_sent or n):
-                # neither end moved: sleep until one can
-                if poller is None:
-                    poller = select.poll()
-                poller.register(self._wfd, select.POLLOUT if sent < n_out else 0)
-                poller.register(self._rfd, select.POLLIN if got + held < limit else 0)
-                poller.poll()
-
-    def _send(self, out, ends, sent: int) -> int:
-        i = bisect.bisect_right(ends, sent)
-        at = sent - (ends[i - 1] if i else 0)
-        pieces, room = [], _PIECE
-        while room and i < len(out) and len(pieces) < _MAX_IOV:
-            piece = out[i][at:at + room]
-            pieces.append(piece)
-            room -= piece.nbytes
-            i, at = i + 1, 0
         try:
-            return os.writev(self._wfd, pieces)
-        except BlockingIOError:
-            return 0
+            os.write(self._wfd, b"\0")
         except BrokenPipeError:
             raise _PeerLost from None
-
-
-def _combine_into(into, ends, first: int, vals: np.ndarray, combine) -> None:
-    """combine(target, values) over the elements first.. of the arrays `into`
-    taken end to end."""
-    i = bisect.bisect_right(ends, first)
-    k = 0
-    while k < vals.size:
-        start = first + k - (ends[i - 1] if i else 0)
-        n = min(vals.size - k, into[i].size - start)
-        combine(into[i][start:start + n], vals[k:k + n])
-        k += n
-        i += 1
+        deadline = time.perf_counter() + _SPIN_S
+        while True:
+            try:
+                got = os.read(self._rfd, 1)
+            except BlockingIOError:
+                if time.perf_counter() > deadline:
+                    self._poller.poll()             # until the byte or EOF
+                continue
+            if not got:
+                raise _PeerLost
+            return
 
 
 @contextmanager
@@ -216,7 +167,7 @@ def fork_replica(run, label: str):
 
     The replica writes nothing of its own: it ends with os._exit, 0 once
     run returns. An exception in it is pickled back, and the block raises it
-    at its next exchange, or at its end. A replica that dies without
+    at its next barrier, or at its end. A replica that dies without
     reporting one raises NumericalError naming label and its exit code. If
     the block raises, the replica is killed; either way it is reaped before
     this returns.
@@ -274,7 +225,7 @@ def _replica_main(run, fds):
         except _PeerLost:
             pass                # the caller has gone and reports for itself
         except Exception as exc:    # reported to the caller, which raises it
-            # closing the exchange pipes first lets the caller stop waiting
+            # closing the barrier pipes first lets the caller stop waiting
             # and read the report
             os.close(down_r)
             os.close(up_w)

@@ -7,13 +7,13 @@ epsilons, reduction axes, normalizations, and the one `ops.norm_cdf` kernel
 behind GELU) on raw ndarrays, with two structural shortcuts:
 
 - per-head attention projections are pre-merged into single (d, d) matrices
-  (the softmax scale folded into the query side), so projections are one
-  BLAS call each;
-- the forward is staged as y -> F -> o_0 .. o_L -> loss, and inside each
-  decoder block down to the attention intermediates (projected heads,
-  softmax weights, merged context, residual sums); a probe recomputes only
-  what the poked parameter feeds and takes every other value from the
-  base-point cache (the poke cannot reach it).
+  (`attention.merged_heads`, with the softmax scale folded into the query
+  side), so projections are one BLAS call each;
+- the forward is staged as the input of each adapter -> y -> F -> o_0 ..
+  o_L -> loss, and inside each decoder block down to the attention
+  intermediates (projected heads, softmax weights, merged context, residual
+  sums); a probe recomputes only what the poked parameter feeds and takes
+  every other value from the base-point cache (the poke cannot reach it).
 
 pipeline_gradcheck cross-checks this path against the op-built loss at the
 base point before trusting it; any drift between the two implementations
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .attention import merged_heads
 from .autodiff import Tensor
 from .errors import ValidationError
-from .ops import norm_cdf
+from .ops import Kernels, norm_cdf
 
 
 def _ln(x, g, b, eps=1e-6):
@@ -72,9 +73,8 @@ class _FastMHA:
                 self.untouched[id(w)] = keep
 
     def _merge_for(self, w_param):
-        # (heads, d, d_h) -> (d, heads*d_h); query side carries the 1/sqrt(d_h)
-        h, d, dh = w_param.value.data.shape
-        m = np.ascontiguousarray(w_param.value.data.transpose(1, 0, 2)).reshape(d, h * dh)
+        # the query side carries the 1/sqrt(d_h)
+        m = merged_heads(w_param.value.data, Kernels)
         return m * self.qscale if w_param is self.p.w_q else m
 
     def _project(self, x, w, b):
@@ -137,9 +137,11 @@ class FastPipeline:
         # 0 = adapters, 1 = input projection, 2+i = decoder block i, last = head
         self.n_blocks = len(agg.blocks)
         self.stage_of = {}
-        for fn in model.adapters:
+        self.adapter_of = {}
+        for i, fn in enumerate(model.adapters):
             for p in fn.params():
                 self.stage_of[id(p)] = 0
+                self.adapter_of[id(p)] = i
         for p in (agg.w1, agg.b1):
             self.stage_of[id(p)] = 1
         self.stage_of[id(agg.queries)] = 2
@@ -150,8 +152,14 @@ class FastPipeline:
             self.stage_of[id(p)] = 2 + self.n_blocks
 
         self._pack_mining(mining)
-        # base-point caches: y, F, and o and the intermediates of each block
-        self.base_y = self.adapted()
+        # base-point caches: the input of each adapter, y, F, and o and the
+        # intermediates of each block
+        self.base_in = []
+        y = self.layers[0]
+        for i in range(len(model.adapters)):
+            self.base_in.append(y + self.layers[i + 1])
+            y = self._adapter(i, self.base_in[i])
+        self.base_y = y
         self.base_f = self.f_tokens(self.base_y)
         self.base_o, self.base_blocks = [], []
         o = agg.queries.value.data
@@ -212,14 +220,18 @@ class FastPipeline:
 
     # forward stages -------------------------------------------------------
 
-    def adapted(self):
-        s = self.scale
-        y = self.layers[0] + self.layers[1]
-        for i, f in enumerate(self.model.adapters):
-            if i > 0:
-                y = y + self.layers[i + 1]
-            h = _lin(y, f.w_d.value.data)
-            y = _lin(h * norm_cdf(h), f.w_u.value.data) * s + y
+    def _adapter(self, i, y):
+        f = self.model.adapters[i]
+        h = _lin(y, f.w_d.value.data)
+        return _lin(h * norm_cdf(h), f.w_u.value.data) * self.scale + y
+
+    def adapted(self, first=0):
+        """y after the last adapter, recomputed from adapter `first` on; the
+        input of that one is its base-point value (the adapters before it
+        cannot change)."""
+        y = self._adapter(first, self.base_in[first])
+        for i in range(first + 1, len(self.model.adapters)):
+            y = self._adapter(i, y + self.layers[i + 1])
         return y
 
     def f_tokens(self, y):
@@ -293,7 +305,7 @@ class FastPipeline:
             self._dirty_ref = (owner, param)
 
         s = self.stage_of[pid]
-        y = self.base_y if s > 0 else self.adapted()
+        y = self.base_y if s > 0 else self.adapted(self.adapter_of[pid])
         f_tok = self.base_f if s > 1 else self.f_tokens(y)
         first = max(0, s - 2)
         return self._loss_from(first, f_tok, self.reuse[pid])

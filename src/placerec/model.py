@@ -18,9 +18,11 @@ from .autodiff import Param, Tensor
 from .backbone import Backbone, build_backbone, forward_collect
 from .config import RunConfig, run_config_from_dict
 from .errors import ContractError, DegenerateInputError, FormatError, NumericalError, ShapeError
+from .fanout import fan_out
 from .fasteval import FastPipeline
 from .gradcheck import GradCheckReport, grad_check
 from .loss import mine_pairs, ms_loss, similarity_matrix
+from .synth import load_image
 
 
 @dataclass
@@ -84,6 +86,36 @@ def stack_images(images, names=None) -> np.ndarray:
             who = repr(names[i]) if names is not None else f"#{i}"
             raise ShapeError(f"image {who} has shape {a.shape}, the batch has {arrs[0].shape}")
     return np.stack(arrs)
+
+
+def encode_chunks(model: DescriptorModel, data_dir, ids, chunk: int, workers: int, use,
+                  label: str) -> list:
+    """[use(i, layers) for each chunk ids[i:i + chunk]], in chunk order.
+
+    Each chunk is loaded and encoded in one batched pass (`feature_stack`).
+    Chunks are dealt round-robin over at most `workers` processes
+    (fanout.fan_out; one chunk runs here without forking), so what use
+    returns is pickled back, and what it writes to a fanout.shared_array
+    lands in memory this process reads. The error raised is the one a
+    serial run meets first.
+    """
+    starts = range(0, len(ids), chunk)
+    n = max(1, min(workers, len(starts)))
+
+    def share(k):
+        out = []
+        for i in starts[k::n]:
+            part = ids[i:i + chunk]
+            try:
+                images = stack_images([load_image(data_dir, iid) for iid in part], part)
+                out.append(use(i, feature_stack(model, images)))
+            except Exception as exc:    # fan_out re-raises the serially first one
+                return out, (i, exc)
+        return out, None
+
+    shares = fan_out(n, share, label)
+    # share k holds chunks k, k + n, k + 2n, ...
+    return [shares[j % n][j // n] for j in range(len(starts))]
 
 
 def batch_stacks(stacks) -> list:

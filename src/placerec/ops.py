@@ -14,8 +14,11 @@ same kernels compute it.
 Ops follow numpy broadcasting on leading axes, so the same code serves a
 single token matrix (rank 2) and a batch of them (rank 3+). Softmax,
 layer norm, and l2 normalization act along the last axis; matmul contracts
-the last two. Scalar constants are Python floats: under NumPy 2's promotion
-rules an np.float64 scalar would turn float32 work into float64.
+the last two. When the right operand of matmul is a matrix, the leading
+axes of the left one fold into the rows of one GEMM, in the kernel and both
+ways in the adjoint, rather than one small GEMM per leading index. Scalar
+constants are Python floats: under NumPy 2's promotion rules an np.float64
+scalar would turn float32 work into float64.
 """
 from __future__ import annotations
 
@@ -62,11 +65,18 @@ def _row_norms(x):
     return np.sqrt(np.square(x).sum(axis=-1, keepdims=True))
 
 
+def _rows(x):
+    return x.reshape(-1, x.shape[-1])
+
+
 class Kernels:
     """The bare kernel of every op, as an op set (see the module docstring)."""
 
     @staticmethod
     def matmul(a, b):
+        if b.ndim == 2 and a.ndim > 2:
+            # the leading axes of a fold into the rows of one GEMM
+            return (_rows(a) @ b).reshape(a.shape[:-1] + b.shape[1:])
         return a @ b
 
     @staticmethod
@@ -147,8 +157,13 @@ def matmul(a, b) -> Tensor:
         ad, bd, au, bu = a.data, b.data, a.uid, b.uid
 
         def bwd(g, acc):
-            acc(au, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
-            acc(bu, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
+            if bd.ndim == 2:
+                # one GEMM each way over the folded leading axes of a
+                acc(au, Kernels.matmul(g, bd.T))
+                acc(bu, _rows(ad).T @ _rows(g))
+            else:
+                acc(au, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+                acc(bu, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
         tape_record(out, bwd, (ad, bd))
     else:

@@ -17,10 +17,9 @@ import numpy as np
 
 from . import fileformats
 from .errors import FormatError, NumericalError, ValidationError
-from .fanout import fan_out as _fan_out
 from .fanout import workers as _workers
-from .model import DescriptorModel, describe_stack, feature_stack, stack_images
-from .synth import Manifest, load_image
+from .model import DescriptorModel, describe_stack, encode_chunks
+from .synth import Manifest
 
 
 @dataclass
@@ -136,23 +135,9 @@ def extract_descriptors(model: DescriptorModel, manifest: Manifest, data_dir,
         raise ValidationError(f"chunk must be >= 1, got {chunk}")
     ids = [r.image_id for r in rows]
     place_ids = [r.place_id for r in rows]
-    starts = range(0, len(ids), chunk)
-    n = min(_workers(), len(starts))
-
-    def share(k):
-        out = []
-        for i in starts[k::n]:
-            part = ids[i:i + chunk]
-            try:
-                images = stack_images([load_image(data_dir, iid) for iid in part], part)
-                out.append(describe_stack(model, feature_stack(model, images)).data)
-            except Exception as exc:    # fan_out re-raises the serially first one
-                return out, (i, exc)
-        return out, None
-
-    shares = _fan_out(n, share, "extract_descriptors: chunk")
-    # share k holds chunks k, k + n, k + 2n, ...
-    matrix = np.vstack([shares[j % n][j // n] for j in range(len(starts))])
+    matrix = np.vstack(encode_chunks(model, data_dir, ids, chunk, _workers(),
+                                     lambda i, layers: describe_stack(model, layers).data,
+                                     "extract_descriptors: chunk"))
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise NumericalError(

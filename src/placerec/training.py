@@ -1,20 +1,27 @@
 """Adam training loop over P-places x K-views batches.
 
 Only adapter and aggregator parameters train; the encoder contributes
-cached constant feature stacks, so a step never touches backbone storage.
-Each step logs one machine-parsable key=value line.
+constant feature stacks, encoded once per run before the first step, so a
+step never touches backbone storage. Each step logs one machine-parsable
+key=value line.
 
 Every batch splits into two fixed shards, rows [0, B//2) and [B//2, B),
 each forwarded on its own tape. On two or more CPUs a forked replica owns
-shard 1 for the whole run (fanout.fork_replica): the two processes swap
-descriptor rows, both compute the loss on the gathered batch, each
-back-propagates its own rows, and they add their gradients before the same
-Adam step. On one CPU this process owns both shards. The gradient is the
-same sum g0 + g1 either way, so the log and the checkpoint do not depend on
-the CPU count.
+shard 1 for the whole run (fanout.fork_replica). The two processes share
+one arena, mapped before the fork: the trainable values as one flat buffer
+(every Param.value a view into it), one gradient row per shard, and the
+gathered descriptor rows. Each writes its shard's descriptor rows, and after
+a barrier both compute the loss on the whole batch and back-propagate their
+own rows into their own gradient row. The Adam step is split between them
+(ZeRO stage 1): each adds the peer's gradient to its own on half of the
+scalars, keeps the moments of that half only and updates it in place. On one
+CPU this process owns both shards and steps both halves. Adam is
+elementwise and the gradient is the same sum g0 + g1 either way, so the log
+and the checkpoint do not depend on the CPU count.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,48 +29,113 @@ import numpy as np
 from .autodiff import Param, Tape, Tensor
 from .config import TrainConfig
 from .errors import NumericalError, ValidationError
-from .fanout import fork_replica
+from .fanout import fork_replica, shared_array
 from .fanout import workers as _workers
 from .loss import LossConfig, mine_pairs, ms_loss, similarity_matrix
-from .model import (
-    DescriptorModel,
-    batch_stacks,
-    describe_stack,
-    feature_stack,
-    stack_images,
-    trainable_params,
-)
+from .model import DescriptorModel, batch_stacks, describe_stack, encode_chunks, trainable_params
 from .ops import inner
-from .synth import BatchSampler, Manifest, load_image
+from .synth import BatchSampler, Manifest
+
+# Images per encoder pass when filling the training cache. The 64 images of
+# the train benchmark (64 px, d 128) filled on two CPUs in 0.119 s at 4,
+# 0.125 s at 8, 0.136 s at 16 and 0.156 s at 32 (medians of 10 fills on a
+# 2-CPU x86-64 host); 8 keeps within 5% of the best with half as many passes.
+FILL_CHUNK = 8
 
 
 class Adam:
-    """Moment-tracked gradient descent; step() consumes and clears grads."""
+    """Adam over one flat buffer of every trainable scalar.
+
+    Each param's value and grad are views into the flat `values` and `grad`:
+    new private buffers, or those given. step() consumes and clears
+    grad, and updates the scalars of `part` in place: all of them, or after
+    split() one half. The moments cover `part` only.
+    """
 
     def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 beta2: float = 0.999, eps: float = 1e-8, values=None, grad=None):
         self.params = [p for p in params if p.trainable]
         if not self.params:
             raise ValidationError("optimizer has no trainable params")
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {id(p): np.zeros_like(p.value.data) for p in self.params}
-        self.v = {id(p): np.zeros_like(p.value.data) for p in self.params}
+        n = sum(p.size for p in self.params)
+        self.part = slice(0, n)
+        self.peer_grad = None
+        self.m = self.v = self._work = None     # made at the first step, for `part`
+        self.values = np.empty(n) if values is None else values
+        self.grad = np.empty(n) if grad is None else grad
+        for p, value, g in zip(self.params, self._views(self.values), self._views(self.grad)):
+            value[...] = p.value.data
+            g[...] = p.grad
+            p.value, p.grad = Tensor(value), g
 
-    def step(self) -> None:
+    def _views(self, flat: np.ndarray) -> list:
+        """Per param, the view of its scalars in a flat buffer."""
+        ends = itertools.accumulate(p.size for p in self.params)
+        return [flat[end - p.size:end].reshape(p.shape) for p, end in zip(self.params, ends)]
+
+    def split(self, grads: np.ndarray, rank: int) -> None:
+        """Share the steps with the other process of a pair, before the first.
+
+        grads is a zeroed (2, n) array that both processes map, as they map
+        `values`. This process accumulates into grads[rank] and owns half
+        `rank` of the scalars (cut at n // 2): step() adds the peer's row on
+        that half and updates it, and the moments of that half are all it
+        keeps.
+        """
+        n = self.values.size
+        self.part = slice(0, n // 2) if rank == 0 else slice(n // 2, n)
+        for p, g in zip(self.params, self._views(grads[rank])):
+            p.grad = g
+        self.grad, self.peer_grad = grads[rank], grads[1 - rank]
+
+    def release(self) -> None:
+        """Give every param a private copy of its value and grad."""
+        for p in self.params:
+            p.value = Tensor(p.value.data.copy())
+            p.grad = p.grad.copy()
+
+    def step(self, peer=None) -> None:
+        """One update from the summed gradient, which it then clears.
+
+        With a peer (a fanout.Peer, after split) a barrier comes first, once
+        both gradient rows are complete, and another after the update, once
+        both halves of the values are new and neither process reads the
+        other's gradient row any more.
+        """
+        if peer is not None:
+            peer.barrier()
+        if self.m is None:
+            k = self.part.stop - self.part.start
+            self.m, self.v, self._work = np.zeros(k), np.zeros(k), (np.empty(k), np.empty(k))
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p in self.params:
-            g = p.grad
-            m = self.m[id(p)]
-            v = self.v[id(p)]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            upd = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            p.value = Tensor(p.value.data - self.lr * upd)
-            p.zero_grad()
+        g, m, v = self.grad[self.part], self.m, self.v
+        if self.peer_grad is not None:
+            g += self.peer_grad[self.part]      # g0 + g1, as one process sums them
+        # m += (1 - beta1)(g - m); v += (1 - beta2)(g^2 - v);
+        # values -= lr (m / c1) / (sqrt(v / c2) + eps), in two scratch arrays
+        a, b = self._work
+        np.subtract(g, m, out=a)
+        a *= 1.0 - self.beta1
+        m += a
+        np.multiply(g, g, out=a)
+        a -= v
+        a *= 1.0 - self.beta2
+        v += a
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        np.divide(m, c1, out=b)
+        b /= a
+        b *= self.lr
+        self.values[self.part] -= b
+        if peer is not None:
+            peer.barrier()
+        self.grad.fill(0.0)
 
 
 def lr_at(cfg: TrainConfig, epoch: int) -> float:
@@ -93,21 +165,23 @@ def shards(b: int) -> list:
 
 
 def train_step(model: DescriptorModel, stacks, place_ids,
-               loss_cfg: LossConfig, opt: Adam, peer=None) -> StepResult:
+               loss_cfg: LossConfig, opt: Adam, peer=None, desc=None) -> StepResult:
     """One update: descriptors -> mine -> loss -> backward -> Adam.
 
     stacks: per-image constant feature stacks (lists of (n, d) arrays), one
     per batch row, or with a peer (a fanout.Peer) only those of the rows of
     shard peer.rank, which the peer's process does not forward. place_ids
-    covers the whole batch. Both processes of a pair compute the same loss
-    and take the same step. A non-finite loss aborts before any parameter
-    moves.
+    covers the whole batch. With a peer, desc is the (B, D) array both
+    processes map and opt has been split: each writes its shard's rows, and
+    after a barrier both compute the same loss and take their halves of the
+    same step. A non-finite loss aborts before any parameter moves.
     """
     b = len(place_ids)
     parts = shards(b)
     own = parts if peer is None else [parts[peer.rank]]
     first = own[0].start
-    desc = np.empty((b, model.descriptor_dim))
+    if desc is None:
+        desc = np.empty((b, model.descriptor_dim))
     taped = []                                   # (rows, tape, descriptors)
     for rows in own:
         if rows.stop == rows.start:
@@ -118,7 +192,7 @@ def train_step(model: DescriptorModel, stacks, place_ids,
         desc[rows] = d.data
         taped.append((rows, tape, d))
     if peer is not None:
-        peer.swap(desc[parts[peer.rank]], desc[parts[1 - peer.rank]])
+        peer.barrier()                           # the peer's rows are in desc
 
     # the gathered descriptors are a leaf: its gradient is dL/dD
     leaf = Param(desc, name="descriptors")
@@ -140,9 +214,7 @@ def train_step(model: DescriptorModel, stacks, place_ids,
             with shard_tape:
                 root = inner(d, leaf.grad[rows])
             shard_tape.backward(root)
-        if peer is not None:
-            peer.add_from([p.grad for p in opt.params])
-    opt.step()
+    opt.step(peer)
     return StepResult(step=0, epoch=0, lr=opt.lr, loss=val,
                       kept_pos=mining.kept_pos, kept_neg=mining.kept_neg,
                       skipped=len(mining.skipped))
@@ -150,7 +222,7 @@ def train_step(model: DescriptorModel, stacks, place_ids,
 
 @dataclass
 class Trainer:
-    """Drives epochs over a synthetic corpus with per-image stack caching."""
+    """Drives epochs over a synthetic corpus from a cache of feature stacks."""
 
     model: DescriptorModel
     manifest: Manifest
@@ -161,42 +233,72 @@ class Trainer:
     _cache: dict = field(default_factory=dict)
 
     def fill(self, image_ids) -> None:
-        """Cache the feature stacks of the uncached images, in one encoder pass."""
-        # frozen encoder: per-image features are constant across steps. They
-        # are float64 upcasts of float32 values, so the float32 copies kept
-        # here are exact at half the bytes; batch_stacks upcasts them again.
+        """Cache the feature stacks of the uncached images.
+
+        They go into one float32 (image, layer, token, width) array in shared
+        memory, encoded in chunks dealt over the CPUs, each written straight
+        into it; a replica forked later reads the same pages. The encoder's
+        outputs are float64 upcasts of float32 values, so the float32 copies
+        are exact at half the bytes; batch_stacks upcasts them again.
+        """
         todo = [i for i in dict.fromkeys(image_ids) if i not in self._cache]
-        if todo:
-            images = stack_images([load_image(self.data_dir, i) for i in todo], todo)
-            layers = [z.data.astype(np.float32) for z in feature_stack(self.model, images)]
-            for j, image_id in enumerate(todo):
-                self._cache[image_id] = [z[j] for z in layers]
+        if not todo:
+            return
+        bb = self.model.run_cfg.backbone
+        cache = shared_array((len(todo), bb.depth + 1, bb.num_patches + 1, bb.d), np.float32)
+
+        def write(i, layers):
+            for l, z in enumerate(layers):
+                cache[i:i + len(z.data), l] = z.data
+
+        encode_chunks(self.model, self.data_dir, todo, FILL_CHUNK, _workers(), write,
+                      "Trainer.fill: chunk")
+        for image_id, stack in zip(todo, cache):
+            self._cache[image_id] = list(stack)
 
     def stack_for(self, image_id: str):
-        self.fill([image_id])
         return self._cache[image_id]
 
     def run(self) -> list:
         """Every epoch's steps; the history of this process, the only one that logs.
 
-        A replica, when there is one, starts from a copy of this process's
-        sampler, optimizer and cache, and ends before this returns.
+        The feature stacks of every image the sampler can draw are cached
+        first. A replica, when there is one, starts from a copy of this
+        process's sampler, optimizer and cache, and ends before this
+        returns; the params then hold private copies of their values again.
         """
         cfg = self.train_cfg
         cfg.validate()
         sampler = BatchSampler(self.manifest, cfg.p, cfg.k, np.random.default_rng(cfg.seed))
-        opt = Adam(trainable_params(self.model), lr=cfg.lr)
+        self.fill([r.image_id for r in self.manifest.split_rows("train")
+                   if r.place_id in sampler.by_place])
+        params = trainable_params(self.model)
         if _workers() < 2:
-            return self._epochs(sampler, opt, None)
+            opt = Adam(params, lr=cfg.lr)
+            try:
+                return self._epochs(sampler, opt, None, None)
+            finally:
+                opt.release()
+        # the arena: values, two gradient rows, and descriptor rows for the
+        # largest batch, (P + 1) x K when a leftover place joins the last one
+        n, dim = sum(p.size for p in params), self.model.descriptor_dim
+        arena = shared_array((3 * n + (cfg.p + 1) * cfg.k * dim,))
+        grads, desc = arena[n:3 * n].reshape(2, n), arena[3 * n:].reshape(-1, dim)
+        opt = Adam(params, lr=cfg.lr, values=arena[:n], grad=grads[0])
 
         def replica(peer):
             self.log = None
-            self._epochs(sampler, opt, peer)
+            opt.split(grads, peer.rank)
+            self._epochs(sampler, opt, peer, desc)
 
-        with fork_replica(replica, "train") as peer:
-            return self._epochs(sampler, opt, peer)
+        try:
+            with fork_replica(replica, "train") as peer:
+                opt.split(grads, peer.rank)
+                return self._epochs(sampler, opt, peer, desc)
+        finally:
+            opt.release()
 
-    def _epochs(self, sampler: BatchSampler, opt: Adam, peer) -> list:
+    def _epochs(self, sampler: BatchSampler, opt: Adam, peer, desc) -> list:
         cfg = self.train_cfg
         history = []
         step = 0
@@ -205,9 +307,9 @@ class Trainer:
             for ids, pids in sampler.epoch():
                 if peer is not None:
                     ids = ids[shards(len(ids))[peer.rank]]
-                self.fill(ids)
-                res = train_step(self.model, [self.stack_for(i) for i in ids],
-                                 pids, self.loss_cfg, opt, peer)
+                res = train_step(self.model, [self.stack_for(i) for i in ids], pids,
+                                 self.loss_cfg, opt, peer,
+                                 None if desc is None else desc[:len(pids)])
                 step += 1
                 res.step, res.epoch = step, epoch + 1
                 history.append(res)

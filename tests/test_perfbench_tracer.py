@@ -1,8 +1,9 @@
 """The benchmark's span tracer still finds every name it patches.
 
 `perfbench/spans.py` wraps functions by module attribute (`backbone.matmul`,
-`backbone.mha`, `model.forward_collect`, ...). A rename in the program would
-otherwise show only in a traced benchmark run.
+`backbone.mha`, `model.forward_collect`, ...) and methods by class
+(`Adam.step`, `Trainer.stack_for`). A rename in the program would otherwise
+show only in a traced benchmark run.
 """
 import importlib.util
 from pathlib import Path
@@ -12,7 +13,10 @@ import pytest
 
 import placerec
 import placerec.cli  # noqa: F401  (the tracer patches names in every submodule)
+from placerec import training
+from placerec.loss import LossConfig
 from placerec.model import build_model, feature_stack
+from placerec.synth import Perturbation, SynthConfig, generate
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -53,3 +57,27 @@ def test_tracer_install_fails_on_a_missing_name(spans, monkeypatch):
         tracer.install(placerec)
     tracer.uninstall()
     assert not tracer._patched
+
+
+def test_tracer_records_a_two_process_training_run(spans, tiny_run_config, tmp_path,
+                                                   monkeypatch):
+    """The spans the traced train benchmark reads come from this process
+    (rank 0) of a two-process run."""
+    manifest = generate(SynthConfig(places=4, views_per_place=4, image_size=8,
+                                    perturbation=Perturbation(), seed=1), tmp_path)
+    monkeypatch.setattr(training, "_workers", lambda: 2)
+    tracer = spans.Tracer("test")
+    tracer.install(placerec)
+    try:
+        trainer = training.Trainer(build_model(tiny_run_config), manifest, tmp_path,
+                                   LossConfig(), tiny_run_config.train, log=None)
+        history = trainer.run()
+    finally:
+        tracer.uninstall()
+    names = {s[3] for s in tracer.spans}
+    assert {"training.train_step", "training.adam_step", "training.stack_for"} <= names
+    m = tracer.metrics()
+    assert m["training.steps"] == len(history) > 0
+    assert m["training.stack_lookups"] == len(history) * tiny_run_config.train.p \
+        * tiny_run_config.train.k // 2
+    assert m["training.stack_misses"] == 0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from placerec import cli, fanout, training
+from placerec import model as pr_model
 from placerec.autodiff import Tensor
 from placerec.cli import main
 from placerec.config import run_config_from_dict
@@ -21,8 +22,8 @@ TINY_RUN = {
     "aggregator": {"L_dec": 1, "M": 4, "heads": 2, "d_out": 4, "M_out": 4},
     "train": {"epochs": 2, "P": 3, "K": 2},
 }
-# an odd batch, P=3 x K=3: shards of 4 and 5 rows. A descriptor row holds
-# 128 x 65 = 8320 floats, 66,560 bytes: wider than a 64 KiB pipe
+# an odd batch, P=3 x K=3: shards of 4 and 5 rows, and wide descriptor rows
+# of 128 x 65 = 8320 floats
 WIDE_ODD_RUN = {**TINY_RUN,
                 "aggregator": {"L_dec": 1, "M": 4, "heads": 2, "d_out": 128, "M_out": 65},
                 "train": {"epochs": 2, "P": 3, "K": 3}}
@@ -76,21 +77,23 @@ def test_two_processes_write_the_files_of_one(monkeypatch, corpus, tmp_path, run
         rc, out = _train(corpus, run, tmp_path, f"w{workers}")
         assert rc == 0
         outs.append(out)
-    assert len(forks) == 1                       # one replica, for the whole run
+    # the fill deals the train split's chunks over both CPUs (one fork), and
+    # one replica runs the whole training loop
+    assert len(forks) == 2
     for name in ("train.log", "model.edtc"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
     assert len((outs[0] / "train.log").read_text().splitlines()) == 4
 
 
 def test_dead_replica_fails_cli_train(monkeypatch, corpus, tmp_path, capsys):
-    swap = fanout.Peer.swap
+    barrier = fanout.Peer.barrier
 
-    def dying_swap(peer, mine, theirs):
+    def dying_barrier(peer):
         if peer.rank == 1:
             os._exit(3)
-        return swap(peer, mine, theirs)
+        return barrier(peer)
 
-    monkeypatch.setattr(fanout.Peer, "swap", dying_swap)
+    monkeypatch.setattr(fanout.Peer, "barrier", dying_barrier)
     _set_workers(monkeypatch, 2)
     capsys.readouterr()
     rc, out = _train(corpus, TINY_RUN, tmp_path, "dead")
@@ -198,3 +201,54 @@ def test_only_this_process_logs(monkeypatch, corpus, tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == len(history) == 4
     assert {line.split()[0] for line in lines} == {str(os.getpid())}
+
+
+def test_two_processes_encode_each_train_image_once(monkeypatch, corpus, tmp_path):
+    """Across this process, the fill workers and the replica, every train
+    image is loaded and encoded exactly once, and nothing else is."""
+    path = tmp_path / "encoded.txt"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    load, encode = pr_model.load_image, pr_model.feature_stack
+
+    def logged_load(data_dir, image_id):
+        os.write(fd, f"load {image_id}\n".encode())
+        return load(data_dir, image_id)
+
+    def logged_encode(model, images):
+        os.write(fd, f"encode {len(images)}\n".encode())
+        return encode(model, images)
+
+    monkeypatch.setattr(pr_model, "load_image", logged_load)
+    monkeypatch.setattr(pr_model, "feature_stack", logged_encode)
+    forks = _count_forks(monkeypatch)
+    _set_workers(monkeypatch, 2)
+    try:
+        rc, _ = _train(corpus, TINY_RUN, tmp_path, "once")
+    finally:
+        os.close(fd)
+    assert rc == 0
+    assert len(forks) == 2                       # a fill worker and the replica
+    train = sorted(r.image_id for r in read_manifest(Path(corpus, "manifest.csv")).rows
+                   if r.split == "train")
+    lines = [line.split() for line in path.read_text().splitlines()]
+    assert sorted(iid for kind, iid in lines if kind == "load") == train
+    assert sum(int(n) for kind, n in lines if kind == "encode") == len(train)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_leaves_private_params_and_no_open_files(monkeypatch, corpus, workers):
+    """After a run no param is a view of a shared or flat buffer, and no file
+    descriptor is left open."""
+    from placerec.loss import LossConfig
+    from placerec.training import Trainer
+
+    rc = run_config_from_dict(TINY_RUN)
+    model = build_model(rc)
+    trainer = Trainer(model, read_manifest(Path(corpus, "manifest.csv")), corpus,
+                      LossConfig(), rc.train, log=None)
+    _set_workers(monkeypatch, workers)
+    fds = len(os.listdir("/proc/self/fd"))
+    trainer.run()
+    assert len(os.listdir("/proc/self/fd")) == fds
+    for p in trainable_params(model):
+        assert p.value.data.base is None and p.grad.base is None, p.name
