@@ -4,7 +4,9 @@ The full-pipeline gradient check re-evaluates the loss ~150k times (two
 probes per trainable scalar, dealt over one forked worker per CPU), which a
 taped graph cannot afford. This module mirrors the exact op formulas (same
 epsilons, reduction axes, normalizations, and the one `ops.norm_cdf` kernel
-behind GELU) on raw ndarrays, with two structural shortcuts:
+behind GELU) on raw ndarrays and takes the loss from `loss.ms_kernel`, the
+kernel `ms_loss` tapes, on pair tables built once from the fixed mining. It
+has two structural shortcuts:
 
 - per-head attention projections are pre-merged into single (d, d) matrices
   (`attention.merged_heads`, with the softmax scale folded into the query
@@ -26,6 +28,7 @@ import numpy as np
 from .attention import merged_heads
 from .autodiff import Tensor
 from .errors import ValidationError
+from .loss import ms_kernel, pair_tables
 from .ops import Kernels, norm_cdf
 
 
@@ -116,7 +119,7 @@ class FastPipeline:
             raise ValidationError("FastPipeline expects batched (B, n, d) feature stacks")
         self.batch = self.layers[0].shape[0]
         self.scale = model.run_cfg.lopa.scale
-        self.cfg = loss_cfg
+        self.pairs = pair_tables(mining, loss_cfg)
 
         agg = model.aggregator
         self.attn = {}
@@ -151,7 +154,6 @@ class FastPipeline:
         for p in (agg.w2, agg.b2, agg.w3, agg.b3):
             self.stage_of[id(p)] = 2 + self.n_blocks
 
-        self._pack_mining(mining)
         # base-point caches: the input of each adapter, y, F, and o and the
         # intermediates of each block
         self.base_in = []
@@ -196,27 +198,6 @@ class FastPipeline:
         else:
             own = kv[i]                             # the queries: block 0 from its input on
         return [own] + kv[i + 1:]
-
-    def _pack_mining(self, mining):
-        # t = coef * s + off over (2, B, L+1): side 0 the kept positives
-        # (coef -alpha), side 1 the kept negatives (coef beta), padding at
-        # -inf, and a last column fixed at t = 0 that holds the 1 of
-        # log(1 + sum exp(t)) and makes the shift max(0, max t) a plain max
-        cfg = self.cfg
-        b = len(mining.pos)
-        width = max((len(x) for x in mining.pos + mining.neg), default=0) + 1
-        self.pair_idx = np.zeros((2, b, width), dtype=np.intp)
-        self.pair_coef = np.zeros((2, b, width))
-        self.pair_off = np.full((2, b, width), -np.inf)
-        self.pair_off[:, :, -1] = 0.0
-        for side, (kept, coef) in enumerate(((mining.pos, -cfg.alpha), (mining.neg, cfg.beta))):
-            for q in range(b):
-                k = len(kept[q])
-                self.pair_idx[side, q, :k] = kept[q]
-                self.pair_coef[side, q, :k] = coef
-                self.pair_off[side, q, :k] = -coef * cfg.lam
-        self.rows = np.arange(b)[:, None]
-        self.pair_div = np.array([cfg.alpha, cfg.beta])[:, None]
 
     # forward stages -------------------------------------------------------
 
@@ -268,14 +249,7 @@ class FastPipeline:
         else:
             flat = c.reshape(self.batch, dim)
         desc = flat / np.sqrt(np.square(flat).sum(axis=-1, keepdims=True))
-        s = desc @ desc.T
-
-        # log(1 + sum exp(t)) per query and side, shifted by the row max as
-        # loss._lse1p does; the t = 0 column keeps that max >= 0
-        t = self.pair_coef * s[self.rows, self.pair_idx] + self.pair_off
-        m = t.max(axis=-1, keepdims=True)
-        lse = m[..., 0] + np.log(np.exp(t - m).sum(axis=-1))
-        return float((lse / self.pair_div).sum() / s.shape[0])
+        return ms_kernel(desc @ desc.T, *self.pairs)[0]
 
     def full_loss(self) -> float:
         f_tok = self.f_tokens(self.adapted())

@@ -10,10 +10,14 @@ u32 version, u32 header fields, then a raw payload.
 
 Writers are atomic (write to a temp file, then rename). Readers fail with
 FormatError carrying the byte offset of the problem; a checkpoint tensor
-that holds NaN or inf is such a problem.
+that holds NaN or inf is such a problem. Text files (sidecars here, the
+manifest and ground-truth CSVs elsewhere) are UTF-8, read by `read_text`
+and `csv_records`, whose errors name the line instead.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import struct
@@ -144,9 +148,31 @@ def write_sidecar(path, ids, place_ids) -> None:
     _atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
+def read_text(path, error=FormatError) -> str:
+    """The contents of a UTF-8 text file; a byte sequence that is not UTF-8
+    raises `error` naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise error(f"{path}: line {line}: not UTF-8 text ({e.reason})") from None
+
+
+def csv_records(path, error):
+    """The records of a UTF-8 CSV file; a malformed one (e.g. a field over
+    the csv module's size limit) raises `error` naming its line."""
+    reader = csv.reader(io.StringIO(read_text(path, error), newline=""))
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise error(f"{path}: line {reader.line_num}: {e}") from None
+
+
 def read_sidecar(path) -> tuple[list[str], list[int]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(ln, text.strip()) for ln, text in enumerate(fh, start=1) if text.strip()]
+    text = io.StringIO(read_text(path), newline=None)
+    lines = [(ln, t.strip()) for ln, t in enumerate(text, start=1) if t.strip()]
     if not lines or lines[0][1] != "id,place_id":
         raise FormatError(f"{path}: sidecar must start with header 'id,place_id'")
     ids, places = [], []

@@ -3,7 +3,10 @@
 Batches are P places x K views. All pairwise cosine similarities come from
 one Gram matrix of the unit-norm descriptor rows; mining keeps only pairs
 that are informative relative to the hardest opposing pair plus a margin,
-and the loss softly weights the survivors.
+and the loss softly weights the survivors. Mining yields one dense (2, B, B)
+keep mask, `pair_tables` turns it into the coefficients and offsets of the
+exponents, and `ms_kernel` computes the loss and dL/ds from them; `ms_loss`
+tapes that kernel and the probe mirror calls it as it is.
 """
 from __future__ import annotations
 
@@ -44,19 +47,19 @@ def similarity_matrix(descriptors) -> Tensor:
 
 @dataclass
 class MiningResult:
-    """Kept pair indices per query; queries lacking raw positives or
-    negatives are skipped entirely."""
-    pos: list = field(default_factory=list)   # per-query int arrays
-    neg: list = field(default_factory=list)
+    """keep[0, q, j] marks j a kept positive of query q, keep[1, q, j] a kept
+    negative; queries lacking raw positives or negatives keep nothing and are
+    listed in `skipped`."""
+    keep: np.ndarray                          # bool, (2, B, B)
     skipped: list = field(default_factory=list)
 
     @property
     def kept_pos(self) -> int:
-        return int(sum(len(p) for p in self.pos))
+        return int(np.count_nonzero(self.keep[0]))
 
     @property
     def kept_neg(self) -> int:
-        return int(sum(len(n) for n in self.neg))
+        return int(np.count_nonzero(self.keep[1]))
 
 
 def mine_pairs(s, place_ids, margin: float) -> MiningResult:
@@ -74,57 +77,50 @@ def mine_pairs(s, place_ids, margin: float) -> MiningResult:
     if ids.shape != (b,):
         raise ShapeError(f"expected {b} place ids, got shape {ids.shape}")
 
-    out = MiningResult()
-    empty = np.empty(0, dtype=np.intp)
-    for q in range(b):
-        same = ids == ids[q]
-        same[q] = False                      # diagonal never a pair
-        pos_idx = np.flatnonzero(same)
-        neg_idx = np.flatnonzero(ids != ids[q])
-        if len(pos_idx) == 0 or len(neg_idx) == 0:
-            out.skipped.append(q)
-            out.pos.append(empty)
-            out.neg.append(empty)
-            continue
-        hardest_pos = sv[q, pos_idx].min()
-        hardest_neg = sv[q, neg_idx].max()
-        out.neg.append(neg_idx[sv[q, neg_idx] > hardest_pos - margin])
-        out.pos.append(pos_idx[sv[q, pos_idx] < hardest_neg + margin])
-    return out
+    same = ids[:, None] == ids[None, :]
+    pos = same & ~np.eye(b, dtype=bool)      # diagonal never a pair
+    neg = ~same
+    skip = ~(pos.any(axis=1) & neg.any(axis=1))
+    hardest_pos = np.where(pos, sv, np.inf).min(axis=1, keepdims=True)
+    hardest_neg = np.where(neg, sv, -np.inf).max(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):     # inf - inf on skipped rows only
+        keep = np.stack([pos & (sv < hardest_neg + margin), neg & (sv > hardest_pos - margin)])
+    keep[:, skip] = False
+    return MiningResult(keep, np.flatnonzero(skip).tolist())
 
 
-def _lse1p(t: np.ndarray):
-    """log(1 + sum(exp(t))) and the softmax-like weights exp(t)/(1+sum),
-    stable for t up to beta-scale magnitudes."""
-    if t.size == 0:
-        return 0.0, t
-    m = max(0.0, float(t.max()))
+def pair_tables(mining: MiningResult, cfg: LossConfig):
+    """(coef, off) with t = coef * s + off the exponent of every pair: coef
+    is -alpha on the positive side and beta on the negative one, off is
+    -coef * lambda on kept pairs and -inf on the rest."""
+    coef = np.array([-cfg.alpha, cfg.beta]).reshape(2, 1, 1)
+    return coef, np.where(mining.keep, -coef * cfg.lam, -np.inf)
+
+
+def ms_kernel(s: np.ndarray, coef: np.ndarray, off: np.ndarray):
+    """(loss, dL/ds) from the pair tables: the mean over the B queries of
+    log(1 + sum exp(t)) / |coef| on each side, shifted by max(0, max t) so
+    it stays finite at beta-scale exponents."""
+    t = coef * s + off
+    m = np.maximum(t.max(axis=-1, keepdims=True), 0.0)
     w = np.exp(t - m)
-    z = np.exp(-m) + w.sum()
-    return m + np.log(z), w / z
+    z = np.exp(-m) + w.sum(axis=-1, keepdims=True)
+    b = s.shape[0]
+    loss = float(((m + np.log(z)) / np.abs(coef)).sum()) / b
+    w /= z
+    return loss, (np.sign(coef) * w).sum(axis=0) / b
 
 
 def ms_loss(s, mining: MiningResult, cfg: LossConfig) -> Tensor:
     """Scalar loss averaged over all B queries, skipped ones included."""
     cfg.validate()
     st = as_tensor(s)
-    sv = st.data
-    b = sv.shape[0]
-    if len(mining.pos) != b or len(mining.neg) != b:
+    if mining.keep.shape != (2,) + st.shape:
         raise ShapeError(
-            f"mining result covers {len(mining.pos)} queries, matrix has {b}")
+            f"mining mask has shape {mining.keep.shape}, matrix {st.shape}")
+    loss, grad = ms_kernel(st.data, *pair_tables(mining, cfg))
 
-    total = 0.0
-    grad = np.zeros_like(sv)
-    for q in range(b):
-        p, n = mining.pos[q], mining.neg[q]
-        lp, wp = _lse1p(-cfg.alpha * (sv[q, p] - cfg.lam))
-        ln_, wn = _lse1p(cfg.beta * (sv[q, n] - cfg.lam))
-        total += lp / cfg.alpha + ln_ / cfg.beta
-        grad[q, p] -= wp / b
-        grad[q, n] += wn / b
-
-    out = Tensor(total / b)
+    out = Tensor(loss)
     if taping():
         def bwd(g, acc):
             acc(st.uid, g * grad)

@@ -229,10 +229,12 @@ def transpose(x) -> Tensor:
 def transpose_axes(x, perm) -> Tensor:
     x = as_tensor(x)
     perm = tuple(perm)
-    inv = tuple(np.argsort(perm))
     out = Tensor(Kernels.transpose_axes(x.data, perm))
     if taping():
         xu = x.uid
+        inv = [0] * len(perm)
+        for i, p in enumerate(perm):
+            inv[p] = i
 
         def bwd(g, acc):
             acc(xu, g.transpose(inv))

@@ -210,24 +210,23 @@ def _score(index: DescriptorIndex, q_ids, q_mat, q_places, ns) -> EvalResult:
 
 def read_gt_places(path) -> dict:
     """id -> place_id from a manifest CSV or a descriptor sidecar CSV."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header == ["image_id", "place_id", "split"]:
-            idc, plc = 0, 1
-        elif header == ["id", "place_id"]:
-            idc, plc = 0, 1
-        else:
-            raise ValidationError(
-                f"ground-truth header must be image_id,place_id,split or id,place_id, got {header}")
-        out = {}
-        for ln, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            try:
-                out[rec[idc]] = int(rec[plc])
-            except (IndexError, ValueError):
-                raise ValidationError(f"ground-truth line {ln}: bad record {rec!r}")
+    reader = fileformats.csv_records(path, ValidationError)
+    header = next(reader, None)
+    if header == ["image_id", "place_id", "split"]:
+        idc, plc = 0, 1
+    elif header == ["id", "place_id"]:
+        idc, plc = 0, 1
+    else:
+        raise ValidationError(
+            f"ground-truth header must be image_id,place_id,split or id,place_id, got {header}")
+    out = {}
+    for ln, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        try:
+            out[rec[idc]] = int(rec[plc])
+        except (IndexError, ValueError):
+            raise ValidationError(f"ground-truth line {ln}: bad record {rec!r}")
     if not out:
         raise ValidationError(f"ground-truth file {path} has no rows")
     return out

@@ -102,23 +102,22 @@ def write_manifest(path, manifest: Manifest) -> None:
 
 
 def read_manifest(path) -> Manifest:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["image_id", "place_id", "split"]:
-            raise ValidationError(
-                f"manifest header must be image_id,place_id,split, got {header}")
-        rows = []
-        for ln, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 3:
-                raise ValidationError(f"manifest line {ln}: expected 3 fields, got {len(rec)}")
-            try:
-                pid = int(rec[1])
-            except ValueError:
-                raise ValidationError(f"manifest line {ln}: place_id {rec[1]!r} is not an integer")
-            rows.append(ManifestRow(rec[0], pid, rec[2]))
+    reader = fileformats.csv_records(path, ValidationError)
+    header = next(reader, None)
+    if header != ["image_id", "place_id", "split"]:
+        raise ValidationError(
+            f"manifest header must be image_id,place_id,split, got {header}")
+    rows = []
+    for ln, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        if len(rec) != 3:
+            raise ValidationError(f"manifest line {ln}: expected 3 fields, got {len(rec)}")
+        try:
+            pid = int(rec[1])
+        except ValueError:
+            raise ValidationError(f"manifest line {ln}: place_id {rec[1]!r} is not an integer")
+        rows.append(ManifestRow(rec[0], pid, rec[2]))
     m = Manifest(rows)
     m.validate()
     return m

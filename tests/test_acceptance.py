@@ -169,7 +169,7 @@ def _mine_oracle(s, ids, margin):
 def test_criterion_6_loss_and_mining_oracles():
     # worked example: one positive at 0.5, one negative at 0.2
     s = np.array([[1.0, 0.5, 0.2]])
-    mining = MiningResult(pos=[np.array([1])], neg=[np.array([2])])
+    mining = MiningResult(keep=np.array([[[False, True, False]], [[False, False, True]]]))
     val = float(ms_loss(s, mining, LossConfig()).data)
     worked_ok = abs(val - 0.674077) <= 1e-5
 
@@ -183,8 +183,8 @@ def test_criterion_6_loss_and_mining_oracles():
         got = mine_pairs(s, ids, margin=0.1)
         pos, neg, skipped = _mine_oracle(s, ids, 0.1)
         same = (got.skipped == skipped
-                and all(got.pos[q].tolist() == pos[q] for q in range(16))
-                and all(got.neg[q].tolist() == neg[q] for q in range(16)))
+                and all(np.flatnonzero(got.keep[0, q]).tolist() == pos[q] for q in range(16))
+                and all(np.flatnonzero(got.keep[1, q]).tolist() == neg[q] for q in range(16)))
         mismatches += 0 if same else 1
 
     ok = worked_ok and mismatches == 0

@@ -166,6 +166,34 @@ def test_evaluate_bad_sidecar_exits_1(ws, tmp_path, capsys, record):
     assert "line 3" in _one_error_line(capsys.readouterr().err)
 
 
+_TEXT_FILES = {
+    "manifest": b"image_id,place_id,split\np0001_v03,1,db\np0000_v03,%s,db\n",
+    "sidecar": b"id,place_id\np0001_v03,1\np0000_v03,%s\n",
+    "gt": b"id,place_id\np0001_v03,1\np0000_v03,%s\n",
+}
+
+
+@pytest.mark.parametrize("field", [b"0\xff", b"1" * 200_000], ids=["bad-utf8", "oversized"])
+@pytest.mark.parametrize("which", list(_TEXT_FILES))
+def test_bad_text_file_exits_1(ws, tmp_path, capsys, which, field):
+    """Line 3 is not UTF-8 or holds a field over the csv module's size limit:
+    each text reader reports it as one error naming the line."""
+    bad = _TEXT_FILES[which] % field
+    if which == "manifest":
+        (tmp_path / "manifest.csv").write_bytes(bad)
+        argv = ["extract", "--model", ws["model"], "--data", str(tmp_path),
+                "--split", "db", "--out", str(tmp_path / "x.edtd")]
+    else:
+        q, gt = str(tmp_path / "q.edtd"), tmp_path / "gt.csv"
+        write_descriptors(q, read_descriptors(ws["query"])[:2])
+        Path(q + ".csv").write_bytes(bad if which == "sidecar" else _TEXT_FILES["sidecar"] % b"0")
+        gt.write_bytes(bad if which == "gt" else Path(ws["gt"]).read_bytes())
+        argv = ["evaluate", "--query", q, "--db", ws["db"], "--gt", str(gt)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "line 3" in _one_error_line(capsys.readouterr().err)
+
+
 def test_extract_nan_checkpoint_exits_1(ws, tmp_path, capsys):
     from placerec.fileformats import read_checkpoint, write_checkpoint
 

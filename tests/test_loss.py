@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from placerec.autodiff import Param, Tape, Tensor
 from placerec.errors import ContractError, ShapeError
 from placerec.gradcheck import grad_check
-from placerec.loss import LossConfig, mine_pairs, ms_loss, similarity_matrix
+from placerec.loss import (
+    LossConfig,
+    mine_pairs,
+    ms_kernel,
+    ms_loss,
+    pair_tables,
+    similarity_matrix,
+)
 from placerec.ops import l2_normalize
 
 
@@ -36,6 +43,26 @@ def brute_force_mining(sv, place_ids, eps):
         kept_neg.append([j for j in neg if sv[q, j] > easiest_pos - eps])
         kept_pos.append([j for j in pos if sv[q, j] < hardest_neg + eps])
     return kept_pos, kept_neg, skipped
+
+
+def per_query_loss(sv, pos, neg, cfg):
+    """Independent oracle: the loss and dL/ds query by query. Each side adds
+    log(1 + sum exp(t)) / |coef| with t = coef * (s - lambda), coef -alpha
+    on the kept positives and beta on the kept negatives, shifted by
+    max(0, max t); its gradient is the softmax-like weights, signed."""
+    b = sv.shape[0]
+    total, grad = 0.0, np.zeros_like(sv)
+    for q in range(b):
+        for idx, coef in ((pos[q], -cfg.alpha), (neg[q], cfg.beta)):
+            if not idx:
+                continue
+            t = coef * (sv[q, idx] - cfg.lam)
+            m = max(0.0, float(t.max()))
+            w = np.exp(t - m)
+            z = np.exp(-m) + w.sum()
+            total += (m + math.log(z)) / abs(coef)
+            grad[q, idx] = math.copysign(1.0, coef) * (w / z) / b
+    return total / b, grad
 
 
 # similarity -----------------------------------------------------------------
@@ -86,7 +113,7 @@ def test_mining_keeps_near_boundary_negative():
         [0.85, 0.1, 1.0],
     ])
     res = mine_pairs(Tensor(s), [0, 0, 1], 0.1)
-    assert 2 in res.neg[0]
+    assert res.keep[1, 0, 2]
 
 
 def test_mining_infinite_margin_keeps_everything(rng):
@@ -94,14 +121,14 @@ def test_mining_infinite_margin_keeps_everything(rng):
     s = similarity_matrix(Tensor(d))
     res = mine_pairs(s, [0, 0, 0, 1, 1, 1], float("inf"))
     for q in range(6):
-        assert len(res.pos[q]) == 2 and len(res.neg[q]) == 3
+        assert res.keep[0, q].sum() == 2 and res.keep[1, q].sum() == 3
 
 
 def test_mining_singleton_place_skipped(rng):
     s = similarity_matrix(Tensor(unit_rows(rng, 3, 4)))
     res = mine_pairs(s, [0, 1, 1], 0.1)
     assert res.skipped == [0]
-    assert len(res.pos[0]) == 0 and len(res.neg[0]) == 0
+    assert not res.keep[:, 0].any()
 
 
 def test_mining_rejects_non_square():
@@ -119,8 +146,8 @@ def test_mining_matches_brute_force(seed):
     res = mine_pairs(s, pids.tolist(), 0.1)
     op, on, osk = brute_force_mining(s.data, pids, 0.1)
     for q in range(b):
-        assert sorted(res.pos[q].tolist()) == sorted(op[q])
-        assert sorted(res.neg[q].tolist()) == sorted(on[q])
+        assert np.flatnonzero(res.keep[0, q]).tolist() == sorted(op[q])
+        assert np.flatnonzero(res.keep[1, q]).tolist() == sorted(on[q])
     assert res.skipped == osk
 
 
@@ -137,14 +164,32 @@ def test_worked_example():
     assert abs(got - 0.674077) < 1e-5
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), b=st.integers(2, 12),
+       alpha=st.floats(1e-3, 1e3), beta=st.floats(1e-3, 800.0), lam=st.floats(-1.0, 1.0))
+def test_kernel_matches_per_query_loss(seed, b, alpha, beta, lam):
+    rng = np.random.default_rng(seed)
+    pids = rng.integers(0, b // 2 + 1, size=b)      # singleton places: skipped queries
+    s = similarity_matrix(Tensor(unit_rows(rng, b, 4))).data
+    cfg = LossConfig(alpha=alpha, beta=beta, lam=lam)
+    loss, grad = ms_kernel(s, *pair_tables(mine_pairs(s, pids, cfg.margin), cfg))
+    pos, neg, _ = brute_force_mining(s, pids, cfg.margin)
+    want_loss, want_grad = per_query_loss(s, pos, neg, cfg)
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+    # below the smallest normal double exp(t - m) carries fewer significant bits
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=np.finfo(float).tiny)
+
+
 def _manual_mining(pos, neg, skipped=()):
     from placerec.loss import MiningResult
 
-    return MiningResult(
-        pos=[np.asarray(p, dtype=int) for p in pos],
-        neg=[np.asarray(n, dtype=int) for n in neg],
-        skipped=list(skipped),
-    )
+    # B query rows over the square batch, or wider to hold the largest index
+    width = max([len(pos)] + [j + 1 for row in pos + neg for j in row])
+    keep = np.zeros((2, len(pos), width), dtype=bool)
+    for side, rows in enumerate((pos, neg)):
+        for q, row in enumerate(rows):
+            keep[side, q, row] = True
+    return MiningResult(keep=keep, skipped=list(skipped))
 
 
 def test_empty_pairs_zero_loss():

@@ -81,3 +81,6 @@ def test_tracer_records_a_two_process_training_run(spans, tiny_run_config, tmp_p
     assert m["training.stack_lookups"] == len(history) * tiny_run_config.train.p \
         * tiny_run_config.train.k // 2
     assert m["training.stack_misses"] == 0
+    # the loss counters read the MiningResult of each step's one mining call
+    assert m["loss.mined_batches"] == len(history)
+    assert m["loss.kept_pairs"] == sum(r.kept_pos + r.kept_neg for r in history)
