@@ -85,10 +85,12 @@ def run_config_from_dict(d: dict) -> RunConfig:
 
 def _load_json(path):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
     except OSError as e:
         raise ValidationError(f"cannot read config {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"config {path} is not UTF-8 text ({e.reason})") from None
     try:
         return json.loads(text)
     except ValueError as e:  # JSONDecodeError, or an integer literal over 4300 digits

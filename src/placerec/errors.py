@@ -6,6 +6,13 @@ wrong (exit code 2).
 """
 
 
+def brief(value, limit: int = 80) -> str:
+    """repr(value) for an error message, cut after `limit` characters with a
+    marker giving its full length, so one huge field cannot flood a message."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} chars)"
+
+
 class PlacerecError(Exception):
     """Base class for all library errors."""
 

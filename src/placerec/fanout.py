@@ -1,22 +1,24 @@
-"""Work split over forked processes: independent shares, or a replica in lockstep.
+"""Work split over forked processes: fan_out, the one way this package forks.
 
-fan_out: a caller deals its work round-robin into n shares, each a run of
-positions in serial order. Share 0 runs in this process and every other one
-in a forked child, which inherits the caller's state (a model, analytic
-gradients, cached intermediates) without pickling it and pickles only its
-result back through a pipe, or writes it straight into a `shared_array`
-made before the fork. A share stops at the first exception it meets and
-hands it back with its serial position; fan_out raises the one at the
-smallest position, which is the error a one-process run would have raised.
+A caller deals its work into n shares, each a run of positions in serial
+order. Share 0 runs in this process and every other one in a forked child,
+which inherits the caller's state (a model, analytic gradients, cached
+intermediates) without pickling it and pickles only its result back through
+a pipe, or writes it straight into a `shared_array` made before the fork. A
+share stops at the first exception it meets and hands it back with its
+serial position; fan_out raises the one at the smallest position, which is
+the error a one-process run would have raised.
 
-fork_replica: one forked child runs the same loop as the caller for a whole
-block. The two work on `shared_array`s made before the fork, and a Peer
-orders their writes: `Peer.barrier` returns in either process only once the
-other has reached the same barrier. A barrier moves one byte each way
-through a pipe; the data stays in the shared pages. A process waiting at a
-barrier polls its pipe for a while before it sleeps, because waking a
-sleeping process costs more than most waits. Forking, the pipes, and
-killing and reaping children happen in this module only.
+Two shares can also run one loop in lockstep, as training's pair does. They
+work on `shared_array`s made before the fork, and a Peer orders their
+writes: `Peer.barrier` returns in either process only once the other has
+reached the same barrier. A barrier moves one byte each way through
+`PeerPipes`, made before the fork; the data stays in the shared pages. A
+process waiting at a barrier polls its pipe for a while before it sleeps,
+because waking a sleeping process costs more than most waits. A share whose
+peer has gone meets PeerLost; it reports that at position +inf, so the
+peer's own error wins. Forking, the pipes, and killing and reaping children
+happen in this module only.
 """
 from __future__ import annotations
 
@@ -52,9 +54,10 @@ def fan_out(n: int, run, label: str) -> list:
     """[result(0), ..., result(n - 1)] from run(k) -> (result, error).
 
     error is None, or (position, exception) for the first exception share k
-    met. With n == 1 nothing is forked. A child that dies before reporting
-    raises NumericalError naming label and its exit code; children still
-    running when this returns or raises are killed and reaped.
+    met. With n == 1 nothing is forked. A child k that dies before
+    reporting raises NumericalError "<label> <k> died without a report",
+    with its exit code; children still running when this returns or raises
+    are killed and reaped.
     """
     shares = [run(0)] if n == 1 else _forked(n, run, label)
     errors = [error for _, error in shares if error is not None]
@@ -98,7 +101,7 @@ def _forked(n: int, run, label: str) -> list:
             code = os.waitstatus_to_exitcode(status)
             if code != 0 or not blob:
                 raise NumericalError(
-                    f"{label} worker {k} died without a report (exit code {code})")
+                    f"{label} {k} died without a report (exit code {code})")
             out.append(pickle.loads(blob))
         return out
     finally:
@@ -119,14 +122,18 @@ def shared_array(shape, dtype=np.float64) -> np.ndarray:
     return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
-class _PeerLost(Exception):
-    """The other process closed its end of a barrier: it exited or failed."""
+class PeerLost(NumericalError):
+    """The other process of a pair closed its end of a barrier: it failed, or
+    it met a different number of barriers than this one."""
+
+    def __init__(self, message="the two processes of a pair met different numbers of barriers"):
+        super().__init__(message)
 
 
 class Peer:
     """This process's end of the pipes to the other process of a pair.
 
-    rank is 0 in the process that forked and 1 in the replica. Both call
+    rank is 0 in the process that forked and 1 in the child. Both call
     barrier() the same number of times; whatever one wrote to shared memory
     before a barrier, the other reads after it.
     """
@@ -146,7 +153,7 @@ class Peer:
         try:
             os.write(self._wfd, b"\0")
         except BrokenPipeError:
-            raise _PeerLost from None
+            raise PeerLost from None
         deadline = time.perf_counter() + _SPIN_S
         while True:
             try:
@@ -156,90 +163,46 @@ class Peer:
                     self._poller.poll()             # until the byte or EOF
                 continue
             if not got:
-                raise _PeerLost
+                raise PeerLost
             return
 
 
-@contextmanager
-def fork_replica(run, label: str):
-    """Fork a replica that runs run(Peer at rank 1) while the block runs;
-    yield this process's Peer (rank 0).
+class PeerPipes:
+    """The two pipes of a pair's barriers, one each way, made before the fork.
 
-    The replica writes nothing of its own: it ends with os._exit, 0 once
-    run returns. An exception in it is pickled back, and the block raises it
-    at its next barrier, or at its end. A replica that dies without
-    reporting one raises NumericalError naming label and its exit code. If
-    the block raises, the replica is killed; either way it is reaped before
-    this returns.
+    In each process, peer(rank) closes the other rank's ends and yields this
+    rank's Peer; it closes this rank's ends when its block leaves, so a peer
+    still waiting at a barrier sees EOF. Leaving the `with` closes any end
+    still open here, e.g. all four when the fork failed.
     """
-    # a child must not re-emit output the parent has buffered
-    sys.stdout.flush()
-    sys.stderr.flush()
-    fds, pid = [], None
-    try:
-        for _ in range(3):
-            fds.extend(os.pipe())
-        down_r, down_w, up_r, up_w, report_r, report_w = fds
-        pid = os.fork()
-        if pid == 0:
-            _replica_main(run, fds)
-        for fd in (down_r, up_w, report_w):
-            os.close(fd)
-            fds.remove(fd)
-        lost = False
+
+    def __init__(self):
+        down = os.pipe()                # (read, write), rank 0 to rank 1
         try:
-            yield Peer(0, up_r, down_w)
-        except _PeerLost:
-            lost = True
-        for fd in (up_r, down_w):       # a replica still waiting on us sees EOF
-            os.close(fd)
-            fds.remove(fd)
-        # read the report to its end before reaping: a replica blocked
-        # writing a long one would never exit
-        with os.fdopen(report_r, "rb") as fh:
-            fds.remove(report_r)
-            blob = fh.read()
-        _, status = os.waitpid(pid, 0)
-        pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if lost or code != 0:
-            raise _replica_error(blob, label, code)
-    finally:
-        for fd in fds:
-            os.close(fd)
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            up = os.pipe()              # rank 1 to rank 0
+        except OSError:
+            for fd in down:
+                os.close(fd)
+            raise
+        self._fds = [*down, *up]
 
+    def __enter__(self):
+        return self
 
-def _replica_main(run, fds):
-    down_r, down_w, up_r, up_w, report_r, report_w = fds
-    code = 1
-    try:
-        # the caller's ends: held open here, its closing them would go unseen
-        for fd in (down_w, up_r, report_r):
-            os.close(fd)
+    def __exit__(self, *exc):
+        self._close()
+
+    def _close(self, ends=range(4)) -> None:
+        for i in ends:
+            if self._fds[i] is not None:
+                os.close(self._fds[i])
+                self._fds[i] = None
+
+    @contextmanager
+    def peer(self, rank: int):
+        own = (2, 1) if rank == 0 else (0, 3)     # (read, write)
+        self._close(i for i in range(4) if i not in own)
         try:
-            run(Peer(1, down_r, up_w))
-            code = 0
-        except _PeerLost:
-            pass                # the caller has gone and reports for itself
-        except Exception as exc:    # reported to the caller, which raises it
-            # closing the barrier pipes first lets the caller stop waiting
-            # and read the report
-            os.close(down_r)
-            os.close(up_w)
-            blob = pickle.dumps(exc)    # an unpicklable error goes unreported
-            with os.fdopen(report_w, "wb") as fh:
-                fh.write(blob)
-    finally:
-        os._exit(code)
-
-
-def _replica_error(blob: bytes, label: str, code: int) -> Exception:
-    if blob:
-        try:
-            return pickle.loads(blob)
-        except (pickle.UnpicklingError, EOFError):
-            pass
-    return NumericalError(f"{label} replica 1 died without a report (exit code {code})")
+            yield Peer(rank, *(self._fds[i] for i in own))
+        finally:
+            self._close(own)

@@ -25,7 +25,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, brief
 
 MAGIC_IMAGE = b"EDTI"
 MAGIC_DESC = b"EDTD"
@@ -181,7 +181,8 @@ def read_sidecar(path) -> tuple[list[str], list[int]]:
             i, p = text.split(",", 1)     # unpacking fails without a comma
             places.append(int(p))
         except ValueError:
-            raise FormatError(f"{path}: line {ln}: expected 'id,place_id', got {text!r}") from None
+            raise FormatError(
+                f"{path}: line {ln}: expected 'id,place_id', got {brief(text)}") from None
         ids.append(i)
     return ids, places
 

@@ -143,7 +143,7 @@ def grad_check(f, params, h: float = 1e-5, tol: float = 1e-5,
     probe = fast_eval if fast_eval is not None else (lambda _p: _scalar_loss(f()))
     n = max(1, min(_workers(), sum(p.value.data.size for p in params)))
     shares = _fan_out(n, lambda k: _probe_share(params, analytic, probe, h, tol, k, n),
-                      "grad_check: probe")
+                      "grad_check: probe worker")
 
     report = GradCheckReport(tol=tol)
     report.checked = sum(s.checked for s in shares)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fileformats
-from .errors import FormatError, NumericalError, ValidationError
+from .errors import FormatError, NumericalError, ValidationError, brief
 from .fanout import workers as _workers
 from .model import DescriptorModel, describe_stack, encode_chunks
 from .synth import Manifest
@@ -137,7 +137,7 @@ def extract_descriptors(model: DescriptorModel, manifest: Manifest, data_dir,
     place_ids = [r.place_id for r in rows]
     matrix = np.vstack(encode_chunks(model, data_dir, ids, chunk, _workers(),
                                      lambda i, layers: describe_stack(model, layers).data,
-                                     "extract_descriptors: chunk"))
+                                     "extract_descriptors: chunk worker"))
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise NumericalError(
@@ -226,7 +226,7 @@ def read_gt_places(path) -> dict:
         try:
             out[rec[idc]] = int(rec[plc])
         except (IndexError, ValueError):
-            raise ValidationError(f"ground-truth line {ln}: bad record {rec!r}")
+            raise ValidationError(f"{path}: line {ln}: bad ground-truth record {brief(rec)}")
     if not out:
         raise ValidationError(f"ground-truth file {path} has no rows")
     return out
@@ -248,7 +248,7 @@ def evaluate_files(query_path, db_path, gt_path, ns=(1, 5, 10)) -> EvalResult:
         q_places = [places[i] for i in q_ids]
         db_places = [places[i] for i in db_ids]
     except KeyError as e:
-        raise ValidationError(f"id {e.args[0]!r} missing from ground truth {gt_path}")
+        raise ValidationError(f"id {brief(e.args[0])} missing from ground truth {gt_path}")
     index = build_index(db_ids, db_mat, db_places)
     return _score(index, q_ids, q_mat, q_places, ns)
 

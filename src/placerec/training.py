@@ -6,14 +6,15 @@ step never touches backbone storage. Each step logs one machine-parsable
 key=value line.
 
 Every batch splits into two fixed shards, rows [0, B//2) and [B//2, B),
-each forwarded on its own tape. On two or more CPUs a forked replica owns
-shard 1 for the whole run (fanout.fork_replica). The two processes share
-one arena, mapped before the fork: the trainable values as one flat buffer
-(every Param.value a view into it), one gradient row per shard, and the
-gathered descriptor rows. Each writes its shard's descriptor rows, and after
-a barrier both compute the loss on the whole batch and back-propagate their
-own rows into their own gradient row. The Adam step is split between them
-(ZeRO stage 1): each adds the peer's gradient to its own on half of the
+each forwarded on its own tape. On two or more CPUs the run is the two
+shares of one fanout.fan_out: this process owns shard 0 and a forked child
+shard 1 for the whole run, in lockstep at fanout.Peer barriers. The two
+share one arena, mapped before the fork: the trainable values as one flat
+buffer (every Param.value a view into it), one gradient row per shard, and
+the gathered descriptor rows. Each writes its shard's descriptor rows, and
+after a barrier both compute the loss on the whole batch and back-propagate
+their own rows into their own gradient row. The Adam step is split between
+them (ZeRO stage 1): each adds the peer's gradient to its own on half of the
 scalars, keeps the moments of that half only and updates it in place. On one
 CPU this process owns both shards and steps both halves. Adam is
 elementwise and the gradient is the same sum g0 + g1 either way, so the log
@@ -22,6 +23,7 @@ and the checkpoint do not depend on the CPU count.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +31,7 @@ import numpy as np
 from .autodiff import Param, Tape, Tensor
 from .config import TrainConfig
 from .errors import NumericalError, ValidationError
-from .fanout import fork_replica, shared_array
+from .fanout import PeerLost, PeerPipes, fan_out, shared_array
 from .fanout import workers as _workers
 from .loss import LossConfig, mine_pairs, ms_loss, similarity_matrix
 from .model import DescriptorModel, batch_stacks, describe_stack, encode_chunks, trainable_params
@@ -252,7 +254,7 @@ class Trainer:
                 cache[i:i + len(z.data), l] = z.data
 
         encode_chunks(self.model, self.data_dir, todo, FILL_CHUNK, _workers(), write,
-                      "Trainer.fill: chunk")
+                      "Trainer.fill: chunk worker")
         for image_id, stack in zip(todo, cache):
             self._cache[image_id] = list(stack)
 
@@ -263,9 +265,11 @@ class Trainer:
         """Every epoch's steps; the history of this process, the only one that logs.
 
         The feature stacks of every image the sampler can draw are cached
-        first. A replica, when there is one, starts from a copy of this
-        process's sampler, optimizer and cache, and ends before this
-        returns; the params then hold private copies of their values again.
+        first. The second process of a pair, when there is one, starts from
+        a copy of this process's sampler, optimizer and cache, and ends
+        before this returns; the params then hold private copies of their
+        values again. Of the two processes' errors, the earlier step's is
+        raised, and at one step this process's, as one process meets them.
         """
         cfg = self.train_cfg
         cfg.validate()
@@ -273,10 +277,12 @@ class Trainer:
         self.fill([r.image_id for r in self.manifest.split_rows("train")
                    if r.place_id in sampler.by_place])
         params = trainable_params(self.model)
+        history = []
         if _workers() < 2:
             opt = Adam(params, lr=cfg.lr)
             try:
-                return self._epochs(sampler, opt, None, None)
+                self._epochs(sampler, opt, None, None, history)
+                return history
             finally:
                 opt.release()
         # the arena: values, two gradient rows, and descriptor rows for the
@@ -286,22 +292,28 @@ class Trainer:
         grads, desc = arena[n:3 * n].reshape(2, n), arena[3 * n:].reshape(-1, dim)
         opt = Adam(params, lr=cfg.lr, values=arena[:n], grad=grads[0])
 
-        def replica(peer):
-            self.log = None
-            opt.split(grads, peer.rank)
-            self._epochs(sampler, opt, peer, desc)
+        def share(rank):
+            if rank == 1:
+                self.log = None
+            with pipes.peer(rank) as peer:
+                try:
+                    opt.split(grads, rank)
+                    self._epochs(sampler, opt, peer, desc, history)
+                except PeerLost as exc:     # the peer's own error, if any, wins
+                    return None, (math.inf, exc)
+                except Exception as exc:    # fan_out raises the earliest step's
+                    return None, (len(history), exc)
+            return (history if rank == 0 else None), None
 
         try:
-            with fork_replica(replica, "train") as peer:
-                opt.split(grads, peer.rank)
-                return self._epochs(sampler, opt, peer, desc)
+            with PeerPipes() as pipes:
+                return fan_out(2, share, "train replica")[0]
         finally:
             opt.release()
 
-    def _epochs(self, sampler: BatchSampler, opt: Adam, peer, desc) -> list:
+    def _epochs(self, sampler: BatchSampler, opt: Adam, peer, desc, history: list) -> None:
+        """Run every step, appending each one's result to history."""
         cfg = self.train_cfg
-        history = []
-        step = 0
         for epoch in range(cfg.epochs):
             opt.lr = lr_at(cfg, epoch)
             for ids, pids in sampler.epoch():
@@ -310,12 +322,10 @@ class Trainer:
                 res = train_step(self.model, [self.stack_for(i) for i in ids], pids,
                                  self.loss_cfg, opt, peer,
                                  None if desc is None else desc[:len(pids)])
-                step += 1
-                res.step, res.epoch = step, epoch + 1
+                res.step, res.epoch = len(history) + 1, epoch + 1
                 history.append(res)
                 if self.log is not None:
                     self.log(res.logline())
-        return history
 
 
 def epoch_mean_loss(history, epoch: int) -> float:

@@ -343,6 +343,18 @@ def test_gradcheck_tiny(ws, capsys):
     assert "gradcheck pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "gradcheck", "memreport"])
+def test_config_not_utf8_exits_1(ws, tmp_path, capsys, command):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(b'{"loss": \xff}')
+    extra = {"synth": ["--out", str(tmp_path / "corpus")],
+             "train": ["--data", ws["data"], "--out", str(tmp_path / "out")]}
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), *extra.get(command, [])]) == 1
+    line = _one_error_line(capsys.readouterr().err)
+    assert f"config {cfg} is not UTF-8 text" in line, line
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"train": {"warmup": 3}}))

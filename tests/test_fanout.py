@@ -1,15 +1,37 @@
-"""A forked replica and its barriers: shared arrays of any size, the order of
-writes across a barrier, its errors, and its end."""
+"""A pair of shares of fan_out in lockstep, and its barriers: shared arrays of
+any size, the order of writes across a barrier, its errors, and its end; and
+fanout.py as the one module that forks."""
+import ast
+import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from placerec import fanout
 from placerec.errors import NumericalError, ValidationError
-from placerec.fanout import fork_replica, shared_array
+from placerec.fanout import PeerLost, PeerPipes, fan_out, shared_array
 
 # small and large arrays, with empty ones
 SIZES = [0, 1, 3, 4095, 4097, 0, 9000, 70001]
+
+
+def _pair(run):
+    """[run(Peer at rank 0), run(Peer at rank 1)], rank 1 in a forked child,
+    as fan_out(2) shares: an error is reported at position 0, a lost peer at
+    +inf."""
+    def share(rank):
+        with pipes.peer(rank) as peer:
+            try:
+                return run(peer), None
+            except PeerLost as exc:
+                return None, (math.inf, exc)
+            except Exception as exc:
+                return None, (0, exc)
+
+    with PeerPipes() as pipes:
+        return fan_out(2, share, "test replica")
 
 
 def _arrays(rank):
@@ -35,8 +57,7 @@ def test_shared_arrays_of_any_size_sum_across_a_barrier():
         peer.barrier()
         return sums
 
-    with fork_replica(run, "test") as peer:
-        sums = run(peer)
+    sums = _pair(run)[0]
     for row, s, a, b in zip(rows, sums, _arrays(0), _arrays(1)):
         np.testing.assert_array_equal(s, a + b)
         assert row[2].tobytes() == s.tobytes()
@@ -58,42 +79,89 @@ def test_barriers_keep_the_pair_in_lockstep():
                     raise ValidationError(f"rank {peer.rank} read a stale row in round {r}")
             peer.barrier()
 
-    with fork_replica(run, "test") as peer:
-        run(peer)
+    _pair(run)
 
 
 def test_replica_error_is_raised_here():
-    def replica(peer):
-        raise ValidationError("bad shard")
+    def run(peer):
+        if peer.rank == 1:
+            raise ValidationError("bad shard")
+        peer.barrier()
 
     with pytest.raises(ValidationError, match="^bad shard$"):
-        with fork_replica(replica, "test") as peer:
-            peer.barrier()
+        _pair(run)
 
 
 def test_replica_failing_after_the_last_exchange_fails_the_block():
-    def replica(peer):
+    def run(peer):
         peer.barrier()
-        raise ValidationError("late")
+        if peer.rank == 1:
+            raise ValidationError("late")
 
     with pytest.raises(ValidationError, match="^late$"):
-        with fork_replica(replica, "test") as peer:
-            peer.barrier()
+        _pair(run)
 
 
 def test_replica_waiting_on_an_exchange_that_never_comes():
-    def replica(peer):
-        peer.barrier()
+    """The only error is the replica's lost peer: the two met different
+    numbers of barriers, a NumericalError of its own that survives the
+    pickle back from the replica."""
+    def run(peer):
+        if peer.rank == 1:
+            peer.barrier()
 
-    with pytest.raises(NumericalError, match=r"^test replica 1 died without a report \(exit code 1\)$"):
-        with fork_replica(replica, "test"):
-            pass
+    with pytest.raises(NumericalError, match=r"^the two processes of a pair met different "
+                                             r"numbers of barriers$"):
+        _pair(run)
 
 
 def test_error_here_kills_the_waiting_replica():
-    def replica(peer):
-        peer.barrier()
+    def share(rank):
+        with pipes.peer(rank) as peer:
+            if rank == 0:
+                raise KeyError("here")
+            peer.barrier()
+        return None, None
 
-    with pytest.raises(KeyError):
-        with fork_replica(replica, "test"):
-            raise KeyError("here")
+    with pytest.raises(KeyError), PeerPipes() as pipes:
+        fan_out(2, share, "test replica")
+
+
+def test_failed_fork_leaks_no_descriptor(monkeypatch):
+    def no_fork():
+        raise OSError("no fork")
+
+    fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(OSError, match="no fork"):
+        _pair(lambda peer: peer.barrier())
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+_PROCESS_CALLS = {"fork", "pipe", "kill", "waitpid"}
+
+
+def _process_calls(path) -> list:
+    """The os.fork / os.pipe / os.kill / os.waitpid names a module uses, as
+    attributes of os or imported from it."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in _PROCESS_CALLS):
+            names.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            names += [a.name for a in node.names if a.name in _PROCESS_CALLS]
+    return names
+
+
+def test_one_fork_path():
+    """Only fanout.py forks, makes pipes, kills or reaps, and it forks in one place."""
+    package = Path(fanout.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert package / "fanout.py" in modules and len(modules) > 1
+    for path in modules:
+        calls = _process_calls(path)
+        if path.name == "fanout.py":
+            assert calls.count("fork") == 1, calls
+        else:
+            assert not calls, f"{path.name} uses os.{calls[0]}"

@@ -125,3 +125,14 @@ def test_sidecar_bad_record_names_line(tmp_path, record):
     p.write_text(f"id,place_id\na,1\n\n{record}\n")
     with pytest.raises(FormatError, match="line 4"):
         read_sidecar(p)
+
+
+def test_sidecar_huge_field_gives_a_short_message(tmp_path):
+    """A 200,000-digit place id is echoed cut short, with the file and line."""
+    p = tmp_path / "bad.csv"
+    p.write_text(f"id,place_id\na,1\nb,{'1' * 200_000}\n")
+    with pytest.raises(FormatError) as exc:
+        read_sidecar(p)
+    msg = str(exc.value)
+    assert len(msg) < 200 + len(str(p)), len(msg)
+    assert str(p) in msg and "line 3" in msg and "(200004 chars)" in msg

@@ -273,6 +273,34 @@ def test_read_gt_places_accepts_manifest_and_sidecar_headers(tmp_path):
         read_gt_places(c)
 
 
+def test_read_gt_places_huge_field_gives_a_short_message(tmp_path):
+    """A 100,000-digit place id, under the csv module's field limit, is
+    echoed cut short, with the file and line."""
+    p = tmp_path / "gt.csv"
+    p.write_text(f"id,place_id\ny,4\nz,{'1' * 100_000}\n")
+    with pytest.raises(ValidationError) as exc:
+        read_gt_places(p)
+    msg = str(exc.value)
+    assert len(msg) < 200 + len(str(p)), len(msg)
+    assert str(p) in msg and "line 3" in msg
+
+
+def test_evaluate_files_huge_missing_id_gives_a_short_message(tmp_path, rng):
+    from placerec.fileformats import write_descriptors, write_sidecar
+
+    huge = "q" * 200_000
+    for name, iid in (("q", huge), ("db", "d")):
+        write_descriptors(tmp_path / f"{name}.edtd", unit_rows(rng, 1, 4))
+        write_sidecar(str(tmp_path / f"{name}.edtd") + ".csv", [iid], [1])
+    gt = tmp_path / "gt.csv"
+    gt.write_text("id,place_id\nd,1\n")
+    with pytest.raises(ValidationError) as exc:
+        evaluate_files(tmp_path / "q.edtd", tmp_path / "db.edtd", gt, ns=(1,))
+    msg = str(exc.value)
+    assert len(msg) < 200 + len(str(gt)), len(msg)
+    assert str(gt) in msg and "missing from ground truth" in msg
+
+
 def test_report_csvs(tmp_path):
     res = EvalResult(recall_at={1: 50.0, 5: 100.0}, ranks=[1, None])
     write_recall_csv(tmp_path / "r.csv", res)

@@ -1,11 +1,14 @@
 """Optimizer, schedule, and the step/epoch training loop."""
+import os
+
 import numpy as np
 import pytest
 
 from placerec.autodiff import Param, Tape, Tensor
 from placerec.config import TrainConfig
-from placerec.errors import ValidationError
-from placerec.fanout import fork_replica, shared_array
+from placerec import fanout, training
+from placerec.errors import NumericalError, ValidationError
+from placerec.fanout import PeerPipes, fan_out, shared_array
 from placerec.gradcheck import grad_check
 from placerec.model import all_params, batch_stacks, build_model, feature_stack, trainable_params
 from placerec.ops import matmul, sum_all
@@ -65,16 +68,17 @@ def test_split_adam_equals_the_whole_buffer_step(rng):
     values, grads = shared_array((9,)), shared_array((2, 9))
     opt = Adam(params, lr=0.01, values=values, grad=grads[0])
 
-    def run(peer):
-        opt.split(grads, peer.rank)
-        for step in zip(g0s, g1s):
-            for p, g in zip(params, step[peer.rank]):
-                p.grad += g
-            opt.step(peer)
-        assert opt.m.size == opt.v.size == (4, 5)[peer.rank]
+    def share(rank):
+        with pipes.peer(rank) as peer:
+            opt.split(grads, rank)
+            for step in zip(g0s, g1s):
+                for p, g in zip(params, step[rank]):
+                    p.grad += g
+                opt.step(peer)
+        return (opt.m.size, opt.v.size), None
 
-    with fork_replica(run, "test") as peer:
-        run(peer)
+    with PeerPipes() as pipes:
+        assert fan_out(2, share, "test replica") == [(4, 4), (5, 5)]
     assert values.tobytes() == whole.tobytes()
     expect = reference_adam(init, [[a + b for a, b in zip(g0, g1)] for g0, g1 in zip(g0s, g1s)],
                             lr=0.01)
@@ -270,3 +274,47 @@ def test_trainer_cache_holds_float32_and_batch_stacks_upcasts(tiny_run_config, t
         for j, image_id in enumerate(ids):
             single = feature_stack(model, load_image(tmp_path, image_id))[l]
             np.testing.assert_array_equal(z.data[j], single.data)
+
+
+def _failing_pair(tiny_run_config, tmp_path, monkeypatch, error):
+    """Run a two-process Trainer expecting `error`; then no descriptor is
+    left open and no child is left, reaped or not."""
+    from placerec.synth import Perturbation, SynthConfig, generate
+
+    scfg = SynthConfig(places=4, views_per_place=4, image_size=8,
+                       perturbation=Perturbation(), seed=1)
+    manifest = generate(scfg, tmp_path)
+    trainer = Trainer(build_model(tiny_run_config), manifest, tmp_path, LossConfig(),
+                      tiny_run_config.train, log=None)
+    monkeypatch.setattr(training, "_workers", lambda: 2)
+    fds = len(os.listdir("/proc/self/fd"))
+    with error:
+        trainer.run()
+    assert len(os.listdir("/proc/self/fd")) == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pair_failing_in_the_replica_leaves_no_descriptor_or_child(tiny_run_config, tmp_path,
+                                                                   monkeypatch):
+    parent, describe = os.getpid(), training.describe_stack
+
+    def failing(model, layers):
+        if os.getpid() != parent:
+            raise ValidationError("bad shard 1")
+        return describe(model, layers)
+
+    monkeypatch.setattr(training, "describe_stack", failing)
+    _failing_pair(tiny_run_config, tmp_path, monkeypatch,
+                  pytest.raises(ValidationError, match="^bad shard 1$"))
+
+
+def test_pair_losing_each_other_leaves_no_descriptor_or_child(tiny_run_config, tmp_path,
+                                                              monkeypatch):
+    """The replica passes every barrier without waiting: the two meet
+    different numbers of barriers, which is an error of its own."""
+    parent, barrier = os.getpid(), fanout.Peer.barrier
+    monkeypatch.setattr(fanout.Peer, "barrier",
+                        lambda peer: None if os.getpid() != parent else barrier(peer))
+    _failing_pair(tiny_run_config, tmp_path, monkeypatch,
+                  pytest.raises(NumericalError, match="different numbers of barriers"))
