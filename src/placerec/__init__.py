@@ -2,7 +2,7 @@
 low-rank parallel adapters, decoder aggregator, and retrieval evaluation,
 all on a minimal f64 autodiff core."""
 
-from .adapters import LoPAConfig, adapt_fn, build_adapters, lopa_forward, memory_report
+from .adapters import LoPAConfig, build_adapters, lopa_forward, memory_report
 from .aggregator import AggregatorConfig, Aggregator, aggregate, build_aggregator
 from .attention import MHAParams, init_mha, mha
 from .autodiff import Param, Tape, Tensor, frozen_region
@@ -79,7 +79,6 @@ __all__ = [
     "Trainer",
     "ValidationError",
     "ViTConfig",
-    "adapt_fn",
     "aggregate",
     "build_adapters",
     "build_aggregator",

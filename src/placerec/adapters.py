@@ -6,6 +6,11 @@ h(x) = s * gelu(x W_d) W_u + x. The up-projections start at zero, so the
 ladder is the identity at initialization and the backward pass never needs
 anything from inside the backbone.
 
+`adapt_fn` and `lopa_forward` are written over an op set (see `ops`): the
+taped float64 wrappers by default, as training and the gradient check run
+them, or the bare kernels on `backbone.as_arrays` of the adapters, as
+extraction (float32) and the probe mirror (float64) run them.
+
 serial_adapter_forward_reference splices the same adapters after each
 encoder block with the backbone recorded on the tape. It exists only so
 memory_report can show the retained-activation gap between the two layouts.
@@ -16,10 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ops
 from .autodiff import Param, Tape, Tensor, region
 from .backbone import Backbone, ViTConfig, build_backbone, encoder_block, forward_collect, patch_embed
 from .errors import ValidationError
-from .ops import add, gelu, matmul, scale, sum_all
+from .ops import matmul  # noqa: F401  (kept as a module attribute for tracers)
+from .ops import sum_all
 from .schema import check, setting
 
 
@@ -66,19 +73,19 @@ def adapter_param_count(fns: list[AdaptFn]) -> int:
     return sum(f.w_d.size + f.w_u.size for f in fns)
 
 
-def adapt_fn(x, f: AdaptFn, s: float) -> Tensor:
+def adapt_fn(x, f: AdaptFn, s: float, op=ops):
     """h(x) = s * gelu(x W_d) W_u + x, applied tokenwise."""
-    return add(scale(matmul(gelu(matmul(x, f.w_d)), f.w_u), s), x)
+    return op.add(op.scale(op.matmul(op.gelu(op.matmul(x, f.w_d)), f.w_u), s), x)
 
 
-def lopa_forward(stack, fns: list[AdaptFn], cfg: LoPAConfig) -> Tensor:
+def lopa_forward(stack, fns: list[AdaptFn], cfg: LoPAConfig, op=ops):
     """Fold the ladder over [z_0 .. z_L]; returns y_L, the adapted features."""
     if len(fns) != len(stack) - 1:
         raise ValidationError(
             f"adapter count {len(fns)} != backbone depth {len(stack) - 1}")
-    y = adapt_fn(add(stack[0], stack[1]), fns[0], cfg.scale)
+    y = adapt_fn(op.add(stack[0], stack[1]), fns[0], cfg.scale, op)
     for i in range(2, len(stack)):
-        y = adapt_fn(add(y, stack[i]), fns[i - 1], cfg.scale)
+        y = adapt_fn(op.add(y, stack[i]), fns[i - 1], cfg.scale, op)
     return y
 
 

@@ -8,6 +8,11 @@ and the row-major flatten is L2-normalized into the global descriptor.
 Cross-attention is the only place image content enters, and attention over
 keys is order-free, so the descriptor is invariant to any permutation of the
 input token rows.
+
+`project_in`, `decoder_block`, `head` and `aggregate` are written over an
+op set (see `ops`): the taped float64 wrappers by default, as training and
+the gradient check run them, or the bare kernels on `backbone.as_arrays` of
+the params, as extraction (float32) and the probe mirror (float64) run them.
 """
 from __future__ import annotations
 
@@ -16,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ops
 from .attention import MHAParams, init_mha, mha
-from .autodiff import Param, Tensor, as_tensor
+from .autodiff import Param
 from .errors import ShapeError, ValidationError
-from .ops import add, l2_normalize, layer_norm, linear, reshape, transpose
 from .schema import check, setting
 
 
@@ -123,43 +128,45 @@ def build_aggregator(cfg: AggregatorConfig) -> Aggregator:
     return agg
 
 
-def project_in(x, w1, b1) -> Tensor:
+def project_in(x, w1, b1, op=ops):
     """F = X W_1 + b_1 over all N+1 tokens, class token included."""
-    return linear(x, w1, b1)
+    return op.linear(x, w1, b1)
 
 
-def decoder_block(o_prev, f_tokens, blk: DecoderBlockParams) -> Tensor:
+def decoder_block(o_prev, f_tokens, blk: DecoderBlockParams, op=ops):
     """Q_i = LN(selfMHA(O) + O); O_i = LN(crossMHA(Q_i, F, F) + Q_i)."""
-    s = mha(o_prev, o_prev, o_prev, blk.self_attn)
-    q = layer_norm(add(s, o_prev), blk.ln1_g, blk.ln1_b)
-    c = mha(q, f_tokens, f_tokens, blk.cross_attn)
-    return layer_norm(add(c, q), blk.ln2_g, blk.ln2_b)
+    s = mha(o_prev, o_prev, o_prev, blk.self_attn, op)
+    q = op.layer_norm(op.add(s, o_prev), blk.ln1_g, blk.ln1_b)
+    c = mha(q, f_tokens, f_tokens, blk.cross_attn, op)
+    return op.layer_norm(op.add(c, q), blk.ln2_g, blk.ln2_b)
 
 
-def aggregate(x, agg: Aggregator) -> Tensor:
-    """Token features (n, d) or (B, n, d) -> unit descriptor (D,) or (B, D)."""
-    xt = as_tensor(x)
-    if xt.ndim not in (2, 3):
-        raise ShapeError(f"aggregate expects rank 2 or 3 input, got {xt.shape}")
-    if xt.shape[-1] != agg.cfg.d:
-        raise ShapeError(f"token width {xt.shape[-1]} != aggregator width {agg.cfg.d}")
-
-    f_tokens = project_in(xt, agg.w1, agg.b1)
-    o = agg.queries.read()
-    for blk in agg.blocks:
-        o = decoder_block(o, f_tokens, blk)
-
-    a = linear(o, agg.w2, agg.b2)       # (.., M, d')
-    c = linear(transpose(a), agg.w3, agg.b3)  # (.., d', M')
-
-    dim = agg.cfg.descriptor_dim
-    if c.ndim == 2:
-        flat = reshape(c, (dim,))
-        if xt.ndim == 3:
-            # L_dec = 0 leaves the queries untouched; replicate the constant
-            # descriptor across the batch
-            flat = add(reshape(flat, (1, dim)),
-                       Tensor(np.zeros((xt.shape[0], dim))))
+def head(o, w2, b2, w3, b3, batch, op=ops):
+    """Decoder output O (.., M, d) -> unit descriptors: FC to (.., M, d'),
+    FC across queries to (.., d', M'), row-major flatten, L2 norm. A rank-2
+    O with a `batch` (not None) gives that many copies of its descriptor."""
+    c = op.linear(op.transpose(op.linear(o, w2, b2)), w3, b3)
+    dim = c.shape[-2] * c.shape[-1]
+    if len(c.shape) == 3:
+        flat = op.reshape(c, (c.shape[0], dim))
+    elif batch is None:
+        flat = op.reshape(c, (dim,))
     else:
-        flat = reshape(c, (c.shape[0], dim))
-    return l2_normalize(flat)
+        # L_dec = 0 leaves the queries untouched: one descriptor for the batch
+        flat = op.concat_rows([op.reshape(c, (1, dim))] * batch)
+    return op.l2_normalize(flat)
+
+
+def aggregate(x, agg: Aggregator, op=ops):
+    """Token features (n, d) or (B, n, d) -> unit descriptor (D,) or (B, D)."""
+    if len(x.shape) not in (2, 3):
+        raise ShapeError(f"aggregate expects rank 2 or 3 input, got {tuple(x.shape)}")
+    if x.shape[-1] != agg.cfg.d:
+        raise ShapeError(f"token width {x.shape[-1]} != aggregator width {agg.cfg.d}")
+
+    f_tokens = project_in(x, agg.w1, agg.b1, op)
+    o = agg.queries
+    for blk in agg.blocks:
+        o = decoder_block(o, f_tokens, blk, op)
+    batch = x.shape[0] if len(x.shape) == 3 else None
+    return head(o, agg.w2, agg.b2, agg.w3, agg.b3, batch, op)

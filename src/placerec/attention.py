@@ -10,7 +10,7 @@ query against a rank-3 key batch is the common case inside the decoder).
 
 `mha` is written over an op set (see `ops`): the taped wrappers by default,
 or the bare kernels with every weight an ndarray, as the frozen encoder
-runs it.
+and extraction's decoder blocks run it.
 """
 from __future__ import annotations
 

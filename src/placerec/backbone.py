@@ -124,9 +124,10 @@ def build_backbone(cfg: ViTConfig) -> Backbone:
 
 def as_arrays(node, dtype):
     """A copy of a params tree (dataclasses and lists over Params) in which
-    every Param is its current value cast to `dtype`, for the bare kernels."""
+    every Param is its current value as `dtype`, for the bare kernels: a cast
+    copy, or the value array itself when it already has that dtype."""
     if isinstance(node, Param):
-        return node.value.data.astype(dtype)
+        return node.value.data.astype(dtype, copy=False)
     if isinstance(node, list):
         return [as_arrays(n, dtype) for n in node]
     if is_dataclass(node):
@@ -167,16 +168,18 @@ def encode(image, bb: Backbone, op=ops) -> list:
     return stack
 
 
-def forward_collect(image, bb: Backbone, frozen: bool = True) -> IntermediateStack:
+def forward_collect(image, bb: Backbone, frozen: bool = True, op=ops) -> IntermediateStack:
     """All layer outputs [z_0 .. z_L], depth+1 entries: (N+1, d) each for one
     image, (B, N+1, d) for a (B, h, w, c) batch, which the ops broadcast over.
 
     frozen=True (the normal mode) runs the encoder on the bare kernels in
-    float32 inside a frozen region, one image as a batch of one, and returns
-    each layer as the exact float64 upcast, marked constant on an active
-    tape. frozen=False records the taped float64 encoder under the
-    "backbone" region label, which the serial-adapter reference and
-    equivalence tests use.
+    float32 inside a frozen region, one image as a batch of one. `op` is the
+    op set that reads the layers: for the taped wrappers (the default) each
+    layer is the exact float64 upcast, marked constant on an active tape;
+    for `Kernels` it is the float32 array as the encoder made it.
+    frozen=False records the taped float64 encoder under the "backbone"
+    region label, which the serial-adapter reference and equivalence tests
+    use.
     """
     if not frozen:
         with region("backbone"):
@@ -185,6 +188,8 @@ def forward_collect(image, bb: Backbone, frozen: bool = True) -> IntermediateSta
         x = np.asarray(image.data if isinstance(image, Tensor) else image, dtype=np.float32)
         one = x.ndim == 3
         layers = encode(x[None] if one else x, as_arrays(bb, np.float32), Kernels)
+        if op is Kernels:
+            return [z[0] if one else z for z in layers]
         stack = [Tensor(z[0] if one else z) for z in layers]
         for z in stack:
             mark_constant(z)

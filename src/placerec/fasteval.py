@@ -2,11 +2,14 @@
 
 The full-pipeline gradient check re-evaluates the loss ~150k times (two
 probes per trainable scalar, dealt over one forked worker per CPU), which a
-taped graph cannot afford. This module mirrors the exact op formulas (same
-epsilons, reduction axes, normalizations, and the one `ops.norm_cdf` kernel
-behind GELU) on raw ndarrays and takes the loss from `loss.ms_kernel`, the
-kernel `ms_loss` tapes, on pair tables built once from the fixed mining. It
-has two structural shortcuts:
+taped graph cannot afford. The adapters, the input projection and the head
+run the shared definitions (`adapters.adapt_fn`, `aggregator.project_in`,
+`aggregator.head`) on the float64 bare kernels, on the live param values of
+each evaluation, and the loss comes from `loss.ms_kernel`, the kernel
+`ms_loss` tapes, on pair tables built once from the fixed mining. Only the
+decoder blocks are restated here, on raw ndarrays with the same epsilons,
+reduction axes and normalizations as the ops, because of two structural
+shortcuts:
 
 - per-head attention projections are pre-merged into single (d, d) matrices
   (`attention.merged_heads`, with the softmax scale folded into the query
@@ -25,29 +28,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from .adapters import adapt_fn
+from .aggregator import head, project_in
 from .attention import merged_heads
 from .autodiff import Tensor
+from .backbone import as_arrays
 from .errors import ValidationError
 from .loss import ms_kernel, pair_tables
-from .ops import Kernels, norm_cdf
+from .ops import Kernels
 
 
 def _ln(x, g, b, eps=1e-6):
+    # the mean as a sum times 1/d, which costs less than ndarray.mean at
+    # these small shapes
     d = x.shape[-1]
     mu = x.sum(axis=-1, keepdims=True) * (1.0 / d)
     xm = x - mu
     inv = 1.0 / np.sqrt(np.square(xm).sum(axis=-1, keepdims=True) * (1.0 / d) + eps)
     return (xm * inv) * g + b
-
-
-def _softmax(z):
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _lin(x, w):
-    # x (..., d) @ w (d, k) as one BLAS call over all leading axes
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + w.shape[-1:])
 
 
 def _heads_split(y, heads):
@@ -81,7 +79,7 @@ class _FastMHA:
         return m * self.qscale if w_param is self.p.w_q else m
 
     def _project(self, x, w, b):
-        return _heads_split(_lin(x, self.merged[id(w)]), self.heads) + b
+        return _heads_split(Kernels.matmul(x, self.merged[id(w)]), self.heads) + b
 
     def __call__(self, q, kv, reuse=None):
         """(output, intermediates) of attention from q over kv.
@@ -99,7 +97,7 @@ class _FastMHA:
                     v["qh"] = self._project(q, p.w_q, p.b_q.value.data * self.qscale)
                 if "kh" not in v:
                     v["kh"] = self._project(kv, p.w_k, p.b_k.value.data)
-                v["probs"] = _softmax(v["qh"] @ v["kh"].swapaxes(-1, -2))
+                v["probs"] = Kernels.softmax_rows(v["qh"] @ v["kh"].swapaxes(-1, -2))
             if "vh" not in v:
                 v["vh"] = self._project(kv, p.w_v, p.b_v.value.data)
             v["ctx"] = _heads_merge(v["probs"] @ v["vh"])
@@ -202,9 +200,7 @@ class FastPipeline:
     # forward stages -------------------------------------------------------
 
     def _adapter(self, i, y):
-        f = self.model.adapters[i]
-        h = _lin(y, f.w_d.value.data)
-        return _lin(h * norm_cdf(h), f.w_u.value.data) * self.scale + y
+        return adapt_fn(y, as_arrays(self.model.adapters[i], np.float64), self.scale, Kernels)
 
     def adapted(self, first=0):
         """y after the last adapter, recomputed from adapter `first` on; the
@@ -217,7 +213,7 @@ class FastPipeline:
 
     def f_tokens(self, y):
         agg = self.model.aggregator
-        return _lin(y, agg.w1.value.data) + agg.b1.value.data
+        return project_in(y, agg.w1.value.data, agg.b1.value.data, Kernels)
 
     def block(self, i, o_prev, f_tok, reuse=None):
         """(output, intermediates) of decoder block i.
@@ -241,15 +237,9 @@ class FastPipeline:
 
     def head_loss(self, o) -> float:
         agg = self.model.aggregator
-        a = o @ agg.w2.value.data + agg.b2.value.data
-        c = a.swapaxes(-1, -2) @ agg.w3.value.data + agg.b3.value.data
-        dim = agg.cfg.descriptor_dim
-        if c.ndim == 2:
-            flat = np.broadcast_to(c.reshape(dim), (self.batch, dim))
-        else:
-            flat = c.reshape(self.batch, dim)
-        desc = flat / np.sqrt(np.square(flat).sum(axis=-1, keepdims=True))
-        return ms_kernel(desc @ desc.T, *self.pairs)[0]
+        desc = head(o, agg.w2.value.data, agg.b2.value.data, agg.w3.value.data,
+                    agg.b3.value.data, self.batch, Kernels)
+        return ms_kernel(Kernels.matmul(desc, Kernels.transpose(desc)), *self.pairs)[0]
 
     def full_loss(self) -> float:
         f_tok = self.f_tokens(self.adapted())

@@ -5,8 +5,8 @@ one Gram matrix of the unit-norm descriptor rows; mining keeps only pairs
 that are informative relative to the hardest opposing pair plus a margin,
 and the loss softly weights the survivors. Mining yields one dense (2, B, B)
 keep mask, `pair_tables` turns it into the coefficients and offsets of the
-exponents, and `ms_kernel` computes the loss and dL/ds from them; `ms_loss`
-tapes that kernel and the probe mirror calls it as it is.
+exponents, and `ms_kernel` computes the loss from them, and dL/ds on
+request; `ms_loss` tapes that kernel and the probe mirror takes its loss.
 """
 from __future__ import annotations
 
@@ -98,17 +98,22 @@ def pair_tables(mining: MiningResult, cfg: LossConfig):
 
 
 def ms_kernel(s: np.ndarray, coef: np.ndarray, off: np.ndarray):
-    """(loss, dL/ds) from the pair tables: the mean over the B queries of
+    """(loss, grad) from the pair tables: the mean over the B queries of
     log(1 + sum exp(t)) / |coef| on each side, shifted by max(0, max t) so
-    it stays finite at beta-scale exponents."""
+    it stays finite at beta-scale exponents. grad() forms dL/ds from the
+    same exponentials, so a caller that needs only the loss never pays for
+    it."""
     t = coef * s + off
     m = np.maximum(t.max(axis=-1, keepdims=True), 0.0)
     w = np.exp(t - m)
     z = np.exp(-m) + w.sum(axis=-1, keepdims=True)
     b = s.shape[0]
     loss = float(((m + np.log(z)) / np.abs(coef)).sum()) / b
-    w /= z
-    return loss, (np.sign(coef) * w).sum(axis=0) / b
+
+    def grad():
+        return (np.sign(coef) * (w / z)).sum(axis=0) / b
+
+    return loss, grad
 
 
 def ms_loss(s, mining: MiningResult, cfg: LossConfig) -> Tensor:
@@ -118,10 +123,12 @@ def ms_loss(s, mining: MiningResult, cfg: LossConfig) -> Tensor:
     if mining.keep.shape != (2,) + st.shape:
         raise ShapeError(
             f"mining mask has shape {mining.keep.shape}, matrix {st.shape}")
-    loss, grad = ms_kernel(st.data, *pair_tables(mining, cfg))
+    loss, dloss = ms_kernel(st.data, *pair_tables(mining, cfg))
 
     out = Tensor(loss)
     if taping():
+        grad = dloss()
+
         def bwd(g, acc):
             acc(st.uid, g * grad)
         tape_record(out, bwd, (grad,))

@@ -4,18 +4,24 @@ The encoder contributes constant per-layer feature stacks (computed inside a
 frozen region, cacheable per image); only the adapters and the aggregator
 carry trainable parameters. Checkpoints echo the full run config, so a model
 file alone reproduces descriptors bit-identically.
+
+`describe_stack` is the one definition of the descriptor, over an op set.
+Training and the gradient check run it on the taped float64 wrappers.
+Extraction runs it on the bare kernels in float32, on the float32 layers the
+encoder made and on a `kernel_model` cast once per extraction; its rows sit
+within ~1e-7 of the float64 ones, the resolution they are stored at.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fileformats
+from . import fileformats, ops
 from .adapters import build_adapters, lopa_forward
 from .aggregator import Aggregator, aggregate, build_aggregator
 from .autodiff import Param, Tensor
-from .backbone import Backbone, build_backbone, forward_collect
+from .backbone import Backbone, as_arrays, build_backbone, forward_collect
 from .config import RunConfig, run_config_from_dict
 from .errors import ContractError, DegenerateInputError, FormatError, NumericalError, ShapeError
 from .fanout import fan_out
@@ -70,10 +76,11 @@ def named_params(model: DescriptorModel) -> dict:
     return out
 
 
-def feature_stack(model: DescriptorModel, image):
+def feature_stack(model: DescriptorModel, image, op=ops):
     """Constant per-layer features [z_0 .. z_L] for one (h, w, c) image, or
-    (B, n, d) layers for a (B, h, w, c) batch in one encoder pass."""
-    return forward_collect(image, model.backbone, frozen=True)
+    (B, n, d) layers for a (B, h, w, c) batch in one encoder pass: float64
+    Tensors for the taped wrappers, float32 arrays for `Kernels`."""
+    return forward_collect(image, model.backbone, frozen=True, op=op)
 
 
 def stack_images(images, names=None) -> np.ndarray:
@@ -92,12 +99,12 @@ def encode_chunks(model: DescriptorModel, data_dir, ids, chunk: int, workers: in
                   label: str) -> list:
     """[use(i, layers) for each chunk ids[i:i + chunk]], in chunk order.
 
-    Each chunk is loaded and encoded in one batched pass (`feature_stack`).
-    Chunks are dealt round-robin over at most `workers` processes
-    (fanout.fan_out; one chunk runs here without forking), so what use
-    returns is pickled back, and what it writes to a fanout.shared_array
-    lands in memory this process reads. The error raised is the one a
-    serial run meets first.
+    Each chunk is loaded and encoded in one batched pass (`feature_stack`),
+    and `use` gets its float32 layers. Chunks are dealt round-robin over at
+    most `workers` processes (fanout.fan_out; one chunk runs here without
+    forking), so what use returns is pickled back, and what it writes to a
+    fanout.shared_array lands in memory this process reads. The error raised
+    is the one a serial run meets first.
     """
     starts = range(0, len(ids), chunk)
     n = max(1, min(workers, len(starts)))
@@ -108,7 +115,7 @@ def encode_chunks(model: DescriptorModel, data_dir, ids, chunk: int, workers: in
             part = ids[i:i + chunk]
             try:
                 images = stack_images([load_image(data_dir, iid) for iid in part], part)
-                out.append(use(i, feature_stack(model, images)))
+                out.append(use(i, feature_stack(model, images, ops.Kernels)))
             except Exception as exc:    # fan_out re-raises the serially first one
                 return out, (i, exc)
         return out, None
@@ -130,10 +137,20 @@ def batch_stacks(stacks) -> list:
             for l in range(depth)]
 
 
-def describe_stack(model: DescriptorModel, stack) -> Tensor:
-    """Feature stack -> unit descriptor; (B, n, d) entries give (B, D)."""
-    y = lopa_forward(stack, model.adapters, model.run_cfg.lopa)
-    return aggregate(y, model.aggregator)
+def describe_stack(model: DescriptorModel, stack, op=ops):
+    """Feature stack -> unit descriptor; (B, n, d) entries give (B, D).
+
+    With `Kernels`, the model's adapters and aggregator are `as_arrays` of
+    them and the stack holds arrays, in one dtype."""
+    y = lopa_forward(stack, model.adapters, model.run_cfg.lopa, op)
+    return aggregate(y, model.aggregator, op)
+
+
+def kernel_model(model: DescriptorModel, dtype) -> DescriptorModel:
+    """The model with its adapters and aggregator as `as_arrays` in `dtype`,
+    for `describe_stack` on `Kernels`."""
+    return replace(model, adapters=as_arrays(model.adapters, dtype),
+                   aggregator=as_arrays(model.aggregator, dtype))
 
 
 def save_model(path, model: DescriptorModel) -> None:

@@ -1,15 +1,21 @@
 """Ops, each split into a bare ndarray kernel and a taped wrapper.
 
 A kernel (a static method of `Kernels`) is a pure function of ndarrays: no
-checks, no tape, and it computes in its inputs' dtype. The wrapper of the
-same name (a function of this module) takes Tensors or Params, checks its
-operands, calls the kernel, and records the adjoint closure on the active
-tape via tape_record, or a zero-byte marker inside frozen regions.
+checks, no tape, and it computes in its inputs' dtype. It may write into
+the arrays it made itself (linear adds its bias into its GEMM output, gelu
+and softmax_rows finish in place), never into its inputs, so it makes no
+temporary the plain expression would not need and gives the same bits. The
+wrapper of the same name (a function of this module) takes Tensors or
+Params, checks its operands, calls the kernel, and records the adjoint
+closure on the active tape via tape_record, or a zero-byte marker inside
+frozen regions.
 
 Code written over an op set takes it as `op`: this module, whose wrappers
-tape in float64, or `Kernels`, which the frozen encoder runs in float32
-(`backbone.forward_collect`). Either way it is the same definition, and the
-same kernels compute it.
+tape in float64 (training, the gradient check), or `Kernels` on arrays.
+The frozen encoder (`backbone.forward_collect`) and extraction's describe
+run the kernels in float32; the probe mirror runs the adapters, input
+projection and head on them in float64. Either way it is the same
+definition, and the same kernels compute it.
 
 Ops follow numpy broadcasting on leading axes, so the same code serves a
 single token matrix (rank 2) and a batch of them (rank 3+). Softmax,
@@ -101,8 +107,10 @@ class Kernels:
 
     @staticmethod
     def softmax_rows(x):
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
+        e = x - x.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        e /= e.sum(axis=-1, keepdims=True)
+        return e
 
     @staticmethod
     def layer_norm(x, g, b, eps: float = 1e-6):
@@ -110,15 +118,22 @@ class Kernels:
 
     @staticmethod
     def gelu(x):
-        return _gelu(x)[0]
+        y = norm_cdf(x)
+        y *= x
+        return y
 
     @staticmethod
     def l2_normalize(x):
-        return x / _row_norms(x)
+        # a zero row gives NaN, and a row whose squares all underflow inf:
+        # left for the caller's finiteness check, not warned about here
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return x / _row_norms(x)
 
     @staticmethod
     def linear(x, w, b):
-        return Kernels.add(Kernels.matmul(x, w), b)
+        y = Kernels.matmul(x, w)
+        y += b
+        return y
 
     @staticmethod
     def sum_all(x):

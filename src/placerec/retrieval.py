@@ -18,7 +18,8 @@ import numpy as np
 from . import fileformats
 from .errors import FormatError, NumericalError, ValidationError, brief
 from .fanout import workers as _workers
-from .model import DescriptorModel, describe_stack, encode_chunks
+from .model import DescriptorModel, describe_stack, encode_chunks, kernel_model
+from .ops import Kernels
 from .synth import Manifest
 
 
@@ -121,7 +122,9 @@ def extract_descriptors(model: DescriptorModel, manifest: Manifest, data_dir,
                         split: str, chunk: int = 32):
     """Descriptors for one split: (ids, (n, D) matrix, place_ids).
 
-    Each chunk of images is one batched encoder pass and one describe call.
+    Each chunk of images is one batched encoder pass and one describe call,
+    both on the bare kernels in float32. The adapters and the aggregator are
+    cast to float32 once per call, the encoder's weights once per pass.
     Chunks are dealt round-robin to one process per CPU (at most one per
     chunk; a one-chunk split runs here without forking), each loading and
     describing its own; the rows come back in manifest order and any error
@@ -135,8 +138,11 @@ def extract_descriptors(model: DescriptorModel, manifest: Manifest, data_dir,
         raise ValidationError(f"chunk must be >= 1, got {chunk}")
     ids = [r.image_id for r in rows]
     place_ids = [r.place_id for r in rows]
+    # a zero or overflowing descriptor comes out of the kernels as a
+    # non-finite row, caught below
+    arrays = kernel_model(model, np.float32)
     matrix = np.vstack(encode_chunks(model, data_dir, ids, chunk, _workers(),
-                                     lambda i, layers: describe_stack(model, layers).data,
+                                     lambda i, layers: describe_stack(arrays, layers, Kernels),
                                      "extract_descriptors: chunk worker"))
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:

@@ -239,9 +239,8 @@ class Trainer:
 
         They go into one float32 (image, layer, token, width) array in shared
         memory, encoded in chunks dealt over the CPUs, each written straight
-        into it; a replica forked later reads the same pages. The encoder's
-        outputs are float64 upcasts of float32 values, so the float32 copies
-        are exact at half the bytes; batch_stacks upcasts them again.
+        into it as the encoder made it; a replica forked later reads the
+        same pages. batch_stacks upcasts them to float64, exactly.
         """
         todo = [i for i in dict.fromkeys(image_ids) if i not in self._cache]
         if not todo:
@@ -251,7 +250,7 @@ class Trainer:
 
         def write(i, layers):
             for l, z in enumerate(layers):
-                cache[i:i + len(z.data), l] = z.data
+                cache[i:i + len(z), l] = z
 
         encode_chunks(self.model, self.data_dir, todo, FILL_CHUNK, _workers(), write,
                       "Trainer.fill: chunk worker")

@@ -209,6 +209,29 @@ def test_extract_nan_checkpoint_exits_1(ws, tmp_path, capsys):
     assert not os.path.exists(out) and not os.path.exists(out + ".csv")
 
 
+def test_extract_zero_head_exits_2_without_a_warning(ws, tmp_path, capsys):
+    """All-zero head weights give a zero descriptor, which has no direction:
+    one error line and exit 2, and the float32 kernels' 0/0 raises no
+    RuntimeWarning on the way."""
+    from placerec.fileformats import read_checkpoint, write_checkpoint
+
+    cfg, tensors = read_checkpoint(ws["model"])
+    for name in ("agg.head_w3", "agg.head_b3"):
+        tensors[name] = np.zeros_like(tensors[name])
+    model = str(tmp_path / "zero.edtc")
+    write_checkpoint(model, cfg, tensors)
+    out = str(tmp_path / "db.edtd")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["extract", "--model", model, "--data", ws["data"],
+                     "--split", "db", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "is not finite" in _one_error_line(err)
+    assert "RuntimeWarning" not in err
+    assert not os.path.exists(out) and not os.path.exists(out + ".csv")
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_train_non_finite_lr_exits_1(ws, tmp_path, capsys, literal):
     cfg = tmp_path / "run.json"
@@ -269,7 +292,11 @@ def test_extract_refuses_non_finite_rows(ws):
 
 
 def test_extract_chunking_does_not_change_rows(ws):
-    from placerec.model import describe_stack, feature_stack, load_model
+    """Chunks of 1 and 5 give the same rows, and so does describing each
+    image alone on the float32 kernels extract runs (the float64 wrappers
+    are within 1e-6 of it: test_model.py)."""
+    from placerec.model import describe_stack, feature_stack, kernel_model, load_model
+    from placerec.ops import Kernels
     from placerec.retrieval import extract_descriptors
     from placerec.synth import load_image, read_manifest
 
@@ -279,7 +306,9 @@ def test_extract_chunking_does_not_change_rows(ws):
     assert len(ids) % 5                     # a ragged last chunk
     _, five, _ = extract_descriptors(model, manifest, ws["data"], "train", chunk=5)
     np.testing.assert_array_equal(five, one)
-    single = np.stack([describe_stack(model, feature_stack(model, load_image(ws["data"], i))).data
+    arrays = kernel_model(model, np.float32)
+    single = np.stack([describe_stack(arrays, feature_stack(model, load_image(ws["data"], i),
+                                                            Kernels), Kernels)
                        for i in ids])
     np.testing.assert_allclose(five, single, rtol=0, atol=1e-12)
 

@@ -105,10 +105,10 @@ def test_one_chunk_split_never_forks(monkeypatch, corpus):
 def test_dead_worker_fails_cli_extract(monkeypatch, corpus, tmp_path, capsys):
     parent, describe = os.getpid(), retrieval.describe_stack
 
-    def dying_describe(model, stacks):
+    def dying_describe(model, stacks, *op):
         if os.getpid() != parent:
             os._exit(3)
-        return describe(model, stacks)
+        return describe(model, stacks, *op)
 
     monkeypatch.setattr(retrieval, "describe_stack", dying_describe)
     _set_workers(monkeypatch, 3)

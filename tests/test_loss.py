@@ -177,7 +177,7 @@ def test_kernel_matches_per_query_loss(seed, b, alpha, beta, lam):
     want_loss, want_grad = per_query_loss(s, pos, neg, cfg)
     assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
     # below the smallest normal double exp(t - m) carries fewer significant bits
-    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=np.finfo(float).tiny)
+    np.testing.assert_allclose(grad(), want_grad, rtol=1e-12, atol=np.finfo(float).tiny)
 
 
 def _manual_mining(pos, neg, skipped=()):

@@ -11,11 +11,13 @@ from placerec.model import (
     build_model,
     describe_stack,
     feature_stack,
+    kernel_model,
     load_model,
     named_params,
     save_model,
     trainable_params,
 )
+from placerec.ops import Kernels
 
 
 @pytest.fixture
@@ -122,6 +124,42 @@ def test_batch_stacks_matches_single(model, rng):
     for i, s in enumerate(stacks):
         single = describe_stack(model, s).data
         np.testing.assert_allclose(batched[i], single, atol=1e-12)
+
+
+def _index_model(rng, **aggregator):
+    """The index benchmark's config (the defaults), with the adapters'
+    zero-initialized up-projections moved so the ladder is not the identity."""
+    model = build_model(run_config_from_dict({"aggregator": aggregator}))
+    for f in model.adapters:
+        f.w_u.value.data[:] = rng.normal(0.0, 0.05, f.w_u.shape)
+    return model
+
+
+@pytest.mark.parametrize("l_dec", [2, 0])
+def test_float64_kernel_describe_is_the_wrappers_bit_for_bit(rng, l_dec):
+    """describe_stack is one definition: on float64 Kernels it gives the
+    taped wrappers' bits, batched and per image."""
+    model = _index_model(rng, L_dec=l_dec)
+    arrays = kernel_model(model, np.float64)
+    imgs = np.stack(_images(rng, model.run_cfg, 8))
+    layers = feature_stack(model, imgs)
+    got = describe_stack(arrays, [z.data for z in layers], Kernels)
+    np.testing.assert_array_equal(got, describe_stack(model, layers).data)
+    for img in imgs[:3]:
+        single = feature_stack(model, img)
+        np.testing.assert_array_equal(describe_stack(arrays, [z.data for z in single], Kernels),
+                                      describe_stack(model, single).data)
+
+
+def test_float32_describe_stays_within_1e6_of_float64(rng):
+    """What extract stores: the float32 layers described on float32 Kernels."""
+    model = _index_model(rng)
+    imgs = np.stack(_images(rng, model.run_cfg, 32))
+    want = describe_stack(model, feature_stack(model, imgs)).data
+    got = describe_stack(kernel_model(model, np.float32), feature_stack(model, imgs, Kernels),
+                         Kernels)
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
 def test_batch_stacks_depth_mismatch(model, rng):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from placerec.autodiff import Param, Tape, Tensor
 from placerec.errors import ShapeError
 from placerec.gradcheck import grad_check
-from placerec.ops import _PHI_BLOCK, norm_cdf
+from placerec.ops import _PHI_BLOCK, Kernels, norm_cdf
 from placerec.ops import (
     add,
     concat_rows,
@@ -216,6 +216,34 @@ def test_softmax_known_row():
 
 def test_l2_normalize_hand_value():
     np.testing.assert_allclose(l2_normalize(Tensor([3.0, 4.0])).data, [0.6, 0.8])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_kernels_equal_their_expressions_bit_for_bit(rng, dtype):
+    """linear, gelu and softmax_rows reuse the arrays they make; the results
+    are the bits of the plain expressions, in the input dtype."""
+    x = (rng.normal(size=(4, 17, 64)) * 3.0).astype(dtype)
+    w = rng.normal(size=(64, 48)).astype(dtype)
+    b = rng.normal(size=(48,)).astype(dtype)
+    want = {
+        "linear": Kernels.matmul(x, w) + b,
+        "gelu": x * norm_cdf(x),
+        "softmax_rows": np.exp(x - x.max(axis=-1, keepdims=True))
+        / np.exp(x - x.max(axis=-1, keepdims=True)).sum(axis=-1, keepdims=True),
+    }
+    got = {"linear": Kernels.linear(x, w, b), "gelu": Kernels.gelu(x),
+           "softmax_rows": Kernels.softmax_rows(x)}
+    for name in want:
+        assert got[name].dtype == dtype, name
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+def test_l2_normalize_kernel_leaves_a_zero_row_non_finite_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = Kernels.l2_normalize(np.array([[3.0, 4.0], [0.0, 0.0]], dtype=np.float32))
+    np.testing.assert_allclose(out[0], [0.6, 0.8])
+    assert np.isnan(out[1]).all()
 
 
 def test_transpose_and_reshape_roundtrip(rng):

@@ -12,7 +12,7 @@ from placerec.config import RunConfig, run_config_from_dict, synth_config_from_d
 from placerec.errors import ValidationError
 from placerec.model import build_model, feature_stack, save_model, trainable_params
 from placerec import schema
-from placerec.synth import Perturbation, SynthConfig
+from placerec.synth import Perturbation, SynthConfig, generate, load_image, read_manifest
 from placerec.training import Adam, train_step
 
 # the config block of a default model's checkpoint, as written before the
@@ -136,6 +136,45 @@ def test_one_step_train_at_each_bound_ends_finite(tiny_run_config, rng, edge):
         losses = [train_step(model, stacks, [0, 0, 1, 1], rc.loss, opt).loss for _ in range(2)]
     assert np.isfinite(losses).all()
     assert all(np.isfinite(p.value.data).all() for p in trainable_params(model))
+
+
+@pytest.fixture(scope="module")
+def edge_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("edges")
+    generate(SynthConfig(places=4, views_per_place=4, image_size=8, perturbation=Perturbation(),
+                         seed=1), root / "corpus")
+    return root
+
+
+@pytest.mark.parametrize("edge", EDGES, ids=["lr", "scale", "alpha", "all"])
+def test_extract_at_each_bound_gives_finite_unit_rows(tiny_run_config, edge_corpus, tmp_path,
+                                                      edge):
+    """Train at the edge, then extract on the float32 kernels: exit 0, every
+    row finite and unit, within 1e-6 of the float64 wrappers, no warning."""
+    from placerec.cli import main
+    from placerec.fileformats import read_descriptors
+    from placerec.model import describe_stack, load_model, stack_images
+
+    cfg = tiny_run_config.to_dict()
+    for section, values in edge.items():
+        cfg[section].update(values)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(cfg))
+    corpus, out = str(edge_corpus / "corpus"), tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(config), "--data", corpus, "--out", str(out)]) == 0
+        assert main(["extract", "--model", str(out / "model.edtc"), "--data", corpus,
+                     "--split", "db", "--out", str(out / "db.edtd")]) == 0
+        rows = read_descriptors(out / "db.edtd")
+        model = load_model(out / "model.edtc")
+        ids = [r.image_id for r in read_manifest(edge_corpus / "corpus" / "manifest.csv")
+               .split_rows("db")]
+        images = stack_images([load_image(corpus, i) for i in ids])
+        want = describe_stack(model, feature_stack(model, images)).data
+    assert np.isfinite(rows).all()
+    np.testing.assert_allclose(np.linalg.norm(rows.astype(np.float64), axis=1), 1.0, atol=1e-6)
+    np.testing.assert_allclose(rows, want, rtol=0, atol=1e-6)
 
 
 def test_nan_outside_every_bound():

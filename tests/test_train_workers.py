@@ -214,9 +214,9 @@ def test_two_processes_encode_each_train_image_once(monkeypatch, corpus, tmp_pat
         os.write(fd, f"load {image_id}\n".encode())
         return load(data_dir, image_id)
 
-    def logged_encode(model, images):
+    def logged_encode(model, images, *op):
         os.write(fd, f"encode {len(images)}\n".encode())
-        return encode(model, images)
+        return encode(model, images, *op)
 
     monkeypatch.setattr(pr_model, "load_image", logged_load)
     monkeypatch.setattr(pr_model, "feature_stack", logged_encode)

@@ -240,7 +240,8 @@ def test_trainer_cache_fill_is_batched_and_bit_identical(tiny_run_config, tmp_pa
     model = build_model(tiny_run_config)
     calls = []
     monkeypatch.setattr(pr_model, "feature_stack",
-                        lambda m, images: calls.append(len(images)) or feature_stack(m, images))
+                        lambda m, images, *op: calls.append(len(images))
+                        or feature_stack(m, images, *op))
     trainer = Trainer(model, manifest, tmp_path, LossConfig(), tiny_run_config.train, log=None)
     ids = [r.image_id for r in manifest.split_rows("train")]
     trainer.fill(ids[:3] + ids[:1])
