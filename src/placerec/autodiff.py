@@ -1,11 +1,12 @@
 """Reverse-mode differentiation core: tensors, parameters, and the tape.
 
-The tape records one adjoint closure per op during the forward pass and
-replays them in reverse exactly once. Ops executed inside a frozen region
-are recorded as zero-byte markers: they keep no buffers, get no adjoint,
-and their outputs behave as constant leaves. That is the whole memory
-story of the parallel-adapter design, so the tape also keeps per-region
-byte accounting that tests and the memreport command read back.
+Every op makes its output through `record`, which appends the op's adjoint
+closure to a live tape; the tape replays them in reverse exactly once. Ops
+executed inside a frozen region are recorded as zero-byte markers: they
+keep no buffers, get no adjoint, and their outputs behave as constant
+leaves. That is the whole memory story of the parallel-adapter design, so
+the tape also keeps per-region byte accounting that tests and the
+memreport command read back.
 
 A tape is single-use: one forward, one backward, then rebuild.
 """
@@ -178,21 +179,23 @@ def taping() -> bool:
     return _state.tape is not None and _state.frozen == 0
 
 
-def tape_record(out: Tensor, bwd, saves=()) -> None:
-    """Append the adjoint closure for `out` to the active tape.
+def record(data, bwd=None, saves=()) -> Tensor:
+    """`data` as a new Tensor, the output of an op, recorded on the tape.
 
-    `saves` lists the forward arrays the closure keeps alive; their bytes
-    are charged to the current region. Call only when taping() is true.
+    On a live tape the adjoint `bwd(g, acc)` is appended, and the bytes of
+    `saves`, the forward arrays it keeps alive, are charged to the current
+    region. Inside a frozen region a zero-byte marker is appended instead,
+    and with no tape nothing is. This is the one place an op reaches a tape.
     """
-    _state.tape._ops.append(
-        _Op(out.uid, bwd, sum(int(s.nbytes) for s in saves), _state.region, False)
-    )
-
-
-def mark_constant(out: Tensor) -> None:
-    """Record a zero-byte marker for an op executed under a frozen region."""
-    if _state.tape is not None and _state.frozen:
-        _state.tape._ops.append(_Op(out.uid, None, 0, _state.region, True))
+    out = Tensor(data)
+    tape = _state.tape
+    if tape is not None:
+        if _state.frozen:
+            tape._ops.append(_Op(out.uid, None, 0, _state.region, True))
+        else:
+            tape._ops.append(_Op(out.uid, bwd, sum(int(s.nbytes) for s in saves),
+                                 _state.region, False))
+    return out
 
 
 @contextmanager

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ops
 from .attention import MHAParams, init_mha, mha
-from .autodiff import Param, Tensor, frozen_region, mark_constant, region
+from .autodiff import Param, Tensor, frozen_region, record, region
 from .errors import ShapeError, ValidationError
 from .ops import Kernels
 from .ops import matmul  # noqa: F401  (kept as a module attribute for tracers)
@@ -188,9 +188,5 @@ def forward_collect(image, bb: Backbone, frozen: bool = True, op=ops) -> Interme
         x = np.asarray(image.data if isinstance(image, Tensor) else image, dtype=np.float32)
         one = x.ndim == 3
         layers = encode(x[None] if one else x, as_arrays(bb, np.float32), Kernels)
-        if op is Kernels:
-            return [z[0] if one else z for z in layers]
-        stack = [Tensor(z[0] if one else z) for z in layers]
-        for z in stack:
-            mark_constant(z)
-    return stack
+        layers = [z[0] if one else z for z in layers]
+        return layers if op is Kernels else [record(z) for z in layers]

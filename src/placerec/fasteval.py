@@ -7,9 +7,9 @@ run the shared definitions (`adapters.adapt_fn`, `aggregator.project_in`,
 `aggregator.head`) on the float64 bare kernels, on the live param values of
 each evaluation, and the loss comes from `loss.ms_kernel`, the kernel
 `ms_loss` tapes, on pair tables built once from the fixed mining. Only the
-decoder blocks are restated here, on raw ndarrays with the same epsilons,
-reduction axes and normalizations as the ops, because of two structural
-shortcuts:
+decoder blocks are restated here, on the same kernels (`Kernels.layer_norm`,
+`softmax_rows`, `matmul`) with the same epsilons and reduction axes as the
+ops, because of two structural shortcuts:
 
 - per-head attention projections are pre-merged into single (d, d) matrices
   (`attention.merged_heads`, with the softmax scale folded into the query
@@ -36,16 +36,6 @@ from .backbone import as_arrays
 from .errors import ValidationError
 from .loss import ms_kernel, pair_tables
 from .ops import Kernels
-
-
-def _ln(x, g, b, eps=1e-6):
-    # the mean as a sum times 1/d, which costs less than ndarray.mean at
-    # these small shapes
-    d = x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) * (1.0 / d)
-    xm = x - mu
-    inv = 1.0 / np.sqrt(np.square(xm).sum(axis=-1, keepdims=True) * (1.0 / d) + eps)
-    return (xm * inv) * g + b
 
 
 def _heads_split(y, heads):
@@ -117,6 +107,8 @@ class FastPipeline:
             raise ValidationError("FastPipeline expects batched (B, n, d) feature stacks")
         self.batch = self.layers[0].shape[0]
         self.scale = model.run_cfg.lopa.scale
+        # the live value arrays, so in-place pokes are read at each evaluation
+        self.adapters = as_arrays(model.adapters, np.float64)
         self.pairs = pair_tables(mining, loss_cfg)
 
         agg = model.aggregator
@@ -156,7 +148,7 @@ class FastPipeline:
         # intermediates of each block
         self.base_in = []
         y = self.layers[0]
-        for i in range(len(model.adapters)):
+        for i in range(len(self.adapters)):
             self.base_in.append(y + self.layers[i + 1])
             y = self._adapter(i, self.base_in[i])
         self.base_y = y
@@ -200,14 +192,14 @@ class FastPipeline:
     # forward stages -------------------------------------------------------
 
     def _adapter(self, i, y):
-        return adapt_fn(y, as_arrays(self.model.adapters[i], np.float64), self.scale, Kernels)
+        return adapt_fn(y, self.adapters[i], self.scale, Kernels)
 
     def adapted(self, first=0):
         """y after the last adapter, recomputed from adapter `first` on; the
         input of that one is its base-point value (the adapters before it
         cannot change)."""
         y = self._adapter(first, self.base_in[first])
-        for i in range(first + 1, len(self.model.adapters)):
+        for i in range(first + 1, len(self.adapters)):
             y = self._adapter(i, y + self.layers[i + 1])
         return y
 
@@ -230,10 +222,10 @@ class FastPipeline:
                 if "pre1" not in r:
                     out, r["self"] = self.attn[id(blk.self_attn)](o_prev, o_prev, r.get("self"))
                     r["pre1"] = out + o_prev
-                r["q"] = _ln(r["pre1"], blk.ln1_g.value.data, blk.ln1_b.value.data)
+                r["q"] = Kernels.layer_norm(r["pre1"], blk.ln1_g.value.data, blk.ln1_b.value.data)
             out, r["cross"] = self.attn[id(blk.cross_attn)](r["q"], f_tok, r.get("cross"))
             r["pre2"] = out + r["q"]
-        return _ln(r["pre2"], blk.ln2_g.value.data, blk.ln2_b.value.data), r
+        return Kernels.layer_norm(r["pre2"], blk.ln2_g.value.data, blk.ln2_b.value.data), r
 
     def head_loss(self, o) -> float:
         agg = self.model.aggregator

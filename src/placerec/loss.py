@@ -6,7 +6,8 @@ that are informative relative to the hardest opposing pair plus a margin,
 and the loss softly weights the survivors. Mining yields one dense (2, B, B)
 keep mask, `pair_tables` turns it into the coefficients and offsets of the
 exponents, and `ms_kernel` computes the loss from them, and dL/ds on
-request; `ms_loss` tapes that kernel and the probe mirror takes its loss.
+request; `ms_loss` records that kernel's loss with its adjoint (forming
+dL/ds only on a live tape), and the probe mirror takes its loss as is.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, tape_record, taping, mark_constant
+from .autodiff import Tensor, as_tensor, record, taping
 from .errors import ContractError, ShapeError
 from .ops import matmul, transpose
 from .schema import check, setting
@@ -124,14 +125,10 @@ def ms_loss(s, mining: MiningResult, cfg: LossConfig) -> Tensor:
         raise ShapeError(
             f"mining mask has shape {mining.keep.shape}, matrix {st.shape}")
     loss, dloss = ms_kernel(st.data, *pair_tables(mining, cfg))
+    grad = dloss() if taping() else None    # read only on a live tape
+    su = st.uid
 
-    out = Tensor(loss)
-    if taping():
-        grad = dloss()
+    def bwd(g, acc):
+        acc(su, g * grad)
 
-        def bwd(g, acc):
-            acc(st.uid, g * grad)
-        tape_record(out, bwd, (grad,))
-    else:
-        mark_constant(out)
-    return out
+    return record(loss, bwd, (grad,))

@@ -6,9 +6,9 @@ the arrays it made itself (linear adds its bias into its GEMM output, gelu
 and softmax_rows finish in place), never into its inputs, so it makes no
 temporary the plain expression would not need and gives the same bits. The
 wrapper of the same name (a function of this module) takes Tensors or
-Params, checks its operands, calls the kernel, and records the adjoint
-closure on the active tape via tape_record, or a zero-byte marker inside
-frozen regions.
+Params, checks its operands, defines the adjoint closure and returns
+`autodiff.record` of the kernel's output: the closure on a live tape, a
+zero-byte marker inside a frozen region, nothing with no tape.
 
 Code written over an op set takes it as `op`: this module, whose wrappers
 tape in float64 (training, the gradient check), or `Kernels` on arrays.
@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, mark_constant, tape_record, taping
+from .autodiff import Tensor, as_tensor, record
 from .errors import DegenerateInputError, ShapeError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -55,10 +55,11 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # Kernels whose adjoint needs more than their output return it alongside.
 
 def _layer_norm(x, g, b, eps):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = np.square(x - mu).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    # a row sum divided by d is what ndarray.mean computes, bit for bit
+    d = x.shape[-1]
+    xm = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.square(xm).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = xm * inv
     return xhat * g + b, xhat, inv
 
 
@@ -167,23 +168,18 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    out = Tensor(Kernels.matmul(a.data, b.data))
-    if taping():
-        ad, bd, au, bu = a.data, b.data, a.uid, b.uid
+    ad, bd, au, bu = a.data, b.data, a.uid, b.uid
 
-        def bwd(g, acc):
-            if bd.ndim == 2:
-                # one GEMM each way over the folded leading axes of a
-                acc(au, Kernels.matmul(g, bd.T))
-                acc(bu, _rows(ad).T @ _rows(g))
-            else:
-                acc(au, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
-                acc(bu, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
+    def bwd(g, acc):
+        if bd.ndim == 2:
+            # one GEMM each way over the folded leading axes of a
+            acc(au, Kernels.matmul(g, bd.T))
+            acc(bu, _rows(ad).T @ _rows(g))
+        else:
+            acc(au, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+            acc(bu, _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
-        tape_record(out, bwd, (ad, bd))
-    else:
-        mark_constant(out)
-    return out
+    return record(Kernels.matmul(ad, bd), bwd, (ad, bd))
 
 
 def add(a, b) -> Tensor:
@@ -192,35 +188,25 @@ def add(a, b) -> Tensor:
         data = Kernels.add(a.data, b.data)
     except ValueError:
         raise ShapeError(f"add shapes do not broadcast: {a.shape} + {b.shape}") from None
-    out = Tensor(data)
-    if taping():
-        ash, bsh, au, bu = a.shape, b.shape, a.uid, b.uid
+    ash, bsh, au, bu = a.shape, b.shape, a.uid, b.uid
 
-        def bwd(g, acc):
-            acc(au, _unbroadcast(g, ash))
-            acc(bu, _unbroadcast(g, bsh))
+    def bwd(g, acc):
+        acc(au, _unbroadcast(g, ash))
+        acc(bu, _unbroadcast(g, bsh))
 
-        tape_record(out, bwd)
-    else:
-        mark_constant(out)
-    return out
+    return record(data, bwd)
 
 
 def scale(x, c: float) -> Tensor:
     """Multiply by a python scalar constant (no gradient for c)."""
     x = as_tensor(x)
     c = float(c)
-    out = Tensor(Kernels.scale(x.data, c))
-    if taping():
-        xu = x.uid
+    xu = x.uid
 
-        def bwd(g, acc):
-            acc(xu, g * c)
+    def bwd(g, acc):
+        acc(xu, g * c)
 
-        tape_record(out, bwd)
-    else:
-        mark_constant(out)
-    return out
+    return record(Kernels.scale(x.data, c), bwd)
 
 
 def transpose(x) -> Tensor:
@@ -228,68 +214,48 @@ def transpose(x) -> Tensor:
     x = as_tensor(x)
     if x.ndim < 2:
         raise ShapeError(f"transpose needs rank >= 2, got {x.shape}")
-    out = Tensor(Kernels.transpose(x.data))
-    if taping():
-        xu = x.uid
+    xu = x.uid
 
-        def bwd(g, acc):
-            acc(xu, np.swapaxes(g, -1, -2))
+    def bwd(g, acc):
+        acc(xu, np.swapaxes(g, -1, -2))
 
-        tape_record(out, bwd)
-    else:
-        mark_constant(out)
-    return out
+    return record(Kernels.transpose(x.data), bwd)
 
 
 def transpose_axes(x, perm) -> Tensor:
     x = as_tensor(x)
     perm = tuple(perm)
-    out = Tensor(Kernels.transpose_axes(x.data, perm))
-    if taping():
-        xu = x.uid
+    xu = x.uid
+
+    def bwd(g, acc):
         inv = [0] * len(perm)
         for i, p in enumerate(perm):
             inv[p] = i
+        acc(xu, g.transpose(inv))
 
-        def bwd(g, acc):
-            acc(xu, g.transpose(inv))
-
-        tape_record(out, bwd)
-    else:
-        mark_constant(out)
-    return out
+    return record(Kernels.transpose_axes(x.data, perm), bwd)
 
 
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(Kernels.reshape(x.data, shape))
-    if taping():
-        xu, xsh = x.uid, x.shape
+    xu, xsh = x.uid, x.shape
 
-        def bwd(g, acc):
-            acc(xu, g.reshape(xsh))
+    def bwd(g, acc):
+        acc(xu, g.reshape(xsh))
 
-        tape_record(out, bwd)
-    else:
-        mark_constant(out)
-    return out
+    return record(Kernels.reshape(x.data, shape), bwd)
 
 
 def softmax_rows(x) -> Tensor:
     """Stable softmax along the last axis (per-row max subtraction)."""
     x = as_tensor(x)
     p = Kernels.softmax_rows(x.data)
-    out = Tensor(p)
-    if taping():
-        xu = x.uid
+    xu = x.uid
 
-        def bwd(g, acc):
-            acc(xu, p * (g - (g * p).sum(axis=-1, keepdims=True)))
+    def bwd(g, acc):
+        acc(xu, p * (g - (g * p).sum(axis=-1, keepdims=True)))
 
-        tape_record(out, bwd, (p,))
-    else:
-        mark_constant(out)
-    return out
+    return record(p, bwd, (p,))
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
@@ -302,22 +268,17 @@ def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
             f"layer_norm affine shapes {gt.shape}/{bt.shape} do not match width {d}"
         )
     data, xhat, inv = _layer_norm(x.data, gt.data, bt.data, eps)
-    out = Tensor(data)
-    if taping():
-        xu, gu, bu, gd = x.uid, gt.uid, bt.uid, gt.data
+    xu, gu, bu, gd = x.uid, gt.uid, bt.uid, gt.data
 
-        def bwd(g, acc):
-            gx = g * gd
-            acc(xu, inv * (gx - gx.mean(axis=-1, keepdims=True)
-                           - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
-            lead = tuple(range(g.ndim - 1))
-            acc(gu, (g * xhat).sum(axis=lead))
-            acc(bu, g.sum(axis=lead))
+    def bwd(g, acc):
+        gx = g * gd
+        acc(xu, inv * (gx - gx.mean(axis=-1, keepdims=True)
+                       - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
+        lead = tuple(range(g.ndim - 1))
+        acc(gu, (g * xhat).sum(axis=lead))
+        acc(bu, g.sum(axis=lead))
 
-        tape_record(out, bwd, (xhat, inv, gd))
-    else:
-        mark_constant(out)
-    return out
+    return record(data, bwd, (xhat, inv, gd))
 
 
 # Phi(x) = (1 + erf(x / sqrt 2)) / 2 on the rationals of Cephes ndtr.c (S. L.
@@ -426,18 +387,13 @@ def gelu(x) -> Tensor:
     x = as_tensor(x)
     xd = x.data
     data, cdf = _gelu(xd)
-    out = Tensor(data)
-    if taping():
-        xu = x.uid
+    xu = x.uid
 
-        def bwd(g, acc):
-            pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-            acc(xu, g * (cdf + xd * pdf))
+    def bwd(g, acc):
+        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
+        acc(xu, g * (cdf + xd * pdf))
 
-        tape_record(out, bwd, (xd, cdf))
-    else:
-        mark_constant(out)
-    return out
+    return record(data, bwd, (xd, cdf))
 
 
 def l2_normalize(x) -> Tensor:
@@ -447,17 +403,12 @@ def l2_normalize(x) -> Tensor:
     if np.any(n == 0.0):
         raise DegenerateInputError("l2_normalize: zero vector")
     y = x.data / n
-    out = Tensor(y)
-    if taping():
-        xu = x.uid
+    xu = x.uid
 
-        def bwd(g, acc):
-            acc(xu, (g - y * (g * y).sum(axis=-1, keepdims=True)) / n)
+    def bwd(g, acc):
+        acc(xu, (g - y * (g * y).sum(axis=-1, keepdims=True)) / n)
 
-        tape_record(out, bwd, (y, n))
-    else:
-        mark_constant(out)
-    return out
+    return record(y, bwd, (y, n))
 
 
 def linear(x, w, b) -> Tensor:
@@ -468,17 +419,12 @@ def linear(x, w, b) -> Tensor:
 def sum_all(x) -> Tensor:
     """Scalar sum of all entries."""
     x = as_tensor(x)
-    out = Tensor(Kernels.sum_all(x.data))
-    if taping():
-        xu, xsh = x.uid, x.shape
+    xu, xsh = x.uid, x.shape
 
-        def bwd(g, acc):
-            acc(xu, np.broadcast_to(g, xsh).copy())
+    def bwd(g, acc):
+        acc(xu, np.broadcast_to(g, xsh).copy())
 
-        tape_record(out, bwd)
-    else:
-        mark_constant(out)
-    return out
+    return record(Kernels.sum_all(x.data), bwd)
 
 
 def inner(x, c) -> Tensor:
@@ -489,17 +435,12 @@ def inner(x, c) -> Tensor:
     c = np.asarray(c, dtype=np.float64)
     if c.shape != x.shape:
         raise ShapeError(f"inner shapes differ: {x.shape} and {c.shape}")
-    out = Tensor(Kernels.inner(x.data, c))
-    if taping():
-        xu = x.uid
+    xu = x.uid
 
-        def bwd(g, acc):
-            acc(xu, g * c)
+    def bwd(g, acc):
+        acc(xu, g * c)
 
-        tape_record(out, bwd, (c,))
-    else:
-        mark_constant(out)
-    return out
+    return record(Kernels.inner(x.data, c), bwd, (c,))
 
 
 def concat_rows(parts) -> Tensor:
@@ -515,22 +456,18 @@ def concat_rows(parts) -> Tensor:
     if any(len(sh) < 2 or sh[-1] != shapes[0][-1] for sh in shapes):
         raise ShapeError(f"concat_rows parts disagree: {shapes}")
     try:
-        out = Tensor(Kernels.concat_rows([t.data for t in ts]))
+        data = Kernels.concat_rows([t.data for t in ts])
     except ValueError:
         raise ShapeError(f"concat_rows leading axes do not broadcast: {shapes}") from None
-    if taping():
-        uids = [t.uid for t in ts]
+    uids = [t.uid for t in ts]
 
-        def bwd(g, acc):
-            o = 0
-            for uid, sh in zip(uids, shapes):
-                acc(uid, _unbroadcast(g[..., o:o + sh[-2], :], sh))
-                o += sh[-2]
+    def bwd(g, acc):
+        o = 0
+        for uid, sh in zip(uids, shapes):
+            acc(uid, _unbroadcast(g[..., o:o + sh[-2], :], sh))
+            o += sh[-2]
 
-        tape_record(out, bwd)
-    else:
-        mark_constant(out)
-    return out
+    return record(data, bwd)
 
 
 def patchify(image, patch: int) -> Tensor:
@@ -542,17 +479,12 @@ def patchify(image, patch: int) -> Tensor:
     lead, (h, w, c) = tuple(x.shape[:-3]), x.shape[-3:]
     if h % patch or w % patch:
         raise ShapeError(f"image {h}x{w} not divisible by patch size {patch}")
-    out = Tensor(Kernels.patchify(x.data, patch))
-    if taping():
-        xu = x.uid
-        gh, gw, k = h // patch, w // patch, len(lead)
+    xu = x.uid
+
+    def bwd(g, acc):
+        k = len(lead)
         perm = tuple(range(k)) + tuple(k + i for i in (0, 2, 1, 3, 4))
+        t = g.reshape(lead + (h // patch, w // patch, patch, patch, c)).transpose(perm)
+        acc(xu, t.reshape(lead + (h, w, c)))
 
-        def bwd(g, acc):
-            t = g.reshape(lead + (gh, gw, patch, patch, c)).transpose(perm)
-            acc(xu, t.reshape(lead + (h, w, c)))
-
-        tape_record(out, bwd)
-    else:
-        mark_constant(out)
-    return out
+    return record(Kernels.patchify(x.data, patch), bwd)

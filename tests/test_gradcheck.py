@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from placerec import gradcheck
-from placerec.autodiff import Param, Tensor, tape_record, taping
+from placerec.autodiff import Param, Tensor, record
 from placerec.errors import DegenerateInputError, NumericalError, ShapeError, ValidationError
 from placerec.gradcheck import grad_check
 from placerec.ops import matmul, sum_all
@@ -15,15 +15,12 @@ from placerec.ops import matmul, sum_all
 
 def bad_square(x: Tensor) -> Tensor:
     """y = x^2 recorded with a deliberately wrong adjoint (3x instead of 2x)."""
-    out = Tensor(x.data ** 2)
-    if taping():
-        xd = x.data
+    xd = x.data
 
-        def bwd(g, acc):
-            acc(x.uid, g * 3.0 * xd)
+    def bwd(g, acc):
+        acc(x.uid, g * 3.0 * xd)
 
-        tape_record(out, bwd, (xd,))
-    return out
+    return record(xd ** 2, bwd, (xd,))
 
 
 def test_detects_wrong_adjoint():

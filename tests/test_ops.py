@@ -238,6 +238,23 @@ def test_in_place_kernels_equal_their_expressions_bit_for_bit(rng, dtype):
         np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [16, 24, 100, 128])
+def test_layer_norm_kernel_equals_the_mean_expression_bit_for_bit(rng, dtype, d):
+    """The row sum divided by d is what ndarray.mean computes."""
+    x = (rng.normal(size=(3, 9, d)) * 4.0 + 1.5).astype(dtype)
+    g = rng.normal(size=(d,)).astype(dtype)
+    b = rng.normal(size=(d,)).astype(dtype)
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(x - mu).mean(axis=-1, keepdims=True) + 1e-6)
+    want = ((x - mu) * inv) * g + b
+    got = Kernels.layer_norm(x, g, b)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, want)
+    if dtype == np.float64:
+        np.testing.assert_array_equal(layer_norm(Tensor(x), Tensor(g), Tensor(b)).data, want)
+
+
 def test_l2_normalize_kernel_leaves_a_zero_row_non_finite_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
