@@ -9,7 +9,7 @@ anything from inside the backbone.
 `adapt_fn` and `lopa_forward` are written over an op set (see `ops`): the
 taped float64 wrappers by default, as training and the gradient check run
 them, or the bare kernels on `backbone.as_arrays` of the adapters, as
-extraction (float32) and the probe mirror (float64) run them.
+extraction (float32) and the probes' replayed trace (float64) run them.
 
 serial_adapter_forward_reference splices the same adapters after each
 encoder block with the backbone recorded on the tape. It exists only so

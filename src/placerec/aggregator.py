@@ -12,7 +12,8 @@ input token rows.
 `project_in`, `decoder_block`, `head` and `aggregate` are written over an
 op set (see `ops`): the taped float64 wrappers by default, as training and
 the gradient check run them, or the bare kernels on `backbone.as_arrays` of
-the params, as extraction (float32) and the probe mirror (float64) run them.
+the params, as extraction (float32) and the probes' replayed trace (float64)
+run them.
 """
 from __future__ import annotations
 

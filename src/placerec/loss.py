@@ -7,7 +7,8 @@ and the loss softly weights the survivors. Mining yields one dense (2, B, B)
 keep mask, `pair_tables` turns it into the coefficients and offsets of the
 exponents, and `ms_kernel` computes the loss from them, and dL/ds on
 request; `ms_loss` records that kernel's loss with its adjoint (forming
-dL/ds only on a live tape), and the probe mirror takes its loss as is.
+dL/ds only on a live tape), and the gradient check's probes take its loss as
+is.
 """
 from __future__ import annotations
 

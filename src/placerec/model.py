@@ -9,7 +9,9 @@ file alone reproduces descriptors bit-identically.
 Training and the gradient check run it on the taped float64 wrappers.
 Extraction runs it on the bare kernels in float32, on the float32 layers the
 encoder made and on a `kernel_model` cast once per extraction; its rows sit
-within ~1e-7 of the float64 ones, the resolution they are stored at.
+within ~1e-7 of the float64 ones, the resolution they are stored at. The
+gradient check's probes replay one recorded trace of it on float64 kernels
+(`fasteval`, which this module and it import from each other as modules).
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fileformats, ops
+from . import fasteval, fileformats, ops
 from .adapters import build_adapters, lopa_forward
 from .aggregator import Aggregator, aggregate, build_aggregator
 from .autodiff import Param, Tensor
@@ -25,7 +27,6 @@ from .backbone import Backbone, as_arrays, build_backbone, forward_collect
 from .config import RunConfig, run_config_from_dict
 from .errors import ContractError, DegenerateInputError, FormatError, NumericalError, ShapeError
 from .fanout import fan_out
-from .fasteval import FastPipeline
 from .gradcheck import GradCheckReport, grad_check
 from .loss import mine_pairs, ms_loss, similarity_matrix
 from .synth import load_image
@@ -198,10 +199,10 @@ def pipeline_gradcheck(model: DescriptorModel, images, place_ids,
     def f():
         return ms_loss(similarity_matrix(describe_stack(model, layers)), mining, loss_cfg)
 
-    # Probes run on the fused plain-array mirror; prove it computes the same
-    # function before trusting ~150k evaluations of it. The loss grows like
-    # 1 / loss.alpha, so the bound is relative to it.
-    fp = FastPipeline(model, layers, mining, loss_cfg)
+    # Probes replay a trace of describe_stack on float64 kernels; prove the
+    # replay computes the same function before trusting ~150k evaluations of
+    # it. The loss grows like 1 / loss.alpha, so the bound is relative to it.
+    fp = fasteval.FastPipeline(model, layers, mining, loss_cfg)
     loss = float(f().data)
     drift = abs(fp.full_loss() - loss)
     if drift > 1e-9 * max(1.0, abs(loss)):

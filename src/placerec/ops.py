@@ -13,9 +13,9 @@ zero-byte marker inside a frozen region, nothing with no tape.
 Code written over an op set takes it as `op`: this module, whose wrappers
 tape in float64 (training, the gradient check), or `Kernels` on arrays.
 The frozen encoder (`backbone.forward_collect`) and extraction's describe
-run the kernels in float32; the probe mirror runs the adapters, input
-projection and head on them in float64. Either way it is the same
-definition, and the same kernels compute it.
+run the kernels in float32; the gradient check's probes replay a recorded
+trace of the whole describe on them in float64 (`fasteval`). Either way it
+is the same definition, and the same kernels compute it.
 
 Ops follow numpy broadcasting on leading axes, so the same code serves a
 single token matrix (rank 2) and a batch of them (rank 3+). Softmax,

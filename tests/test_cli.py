@@ -323,11 +323,11 @@ def test_gradcheck_large_beta(ws, tmp_path, capsys):
 
 
 def test_gradcheck_small_alpha(tmp_path, capsys):
-    """The loss grows like 1 / alpha, and the mirror's drift bound with it.
+    """The loss grows like 1 / alpha, and the probe replay's drift bound with it.
 
     At alpha 1e-10 the loss is ~1e10, whose rounding leaves central
     differences at h = 1e-5 a resolution of ~0.1, so the comparison runs at a
-    tolerance above that; the mirror must agree with the op graph regardless.
+    tolerance above that; the replay must agree with the op graph regardless.
     """
     cfg = tmp_path / "alpha.json"
     cfg.write_text(json.dumps({"loss": {"alpha": 1e-10}, "backbone": {"d": 16},
