@@ -7,9 +7,10 @@ ladder is the identity at initialization and the backward pass never needs
 anything from inside the backbone.
 
 `adapt_fn` and `lopa_forward` are written over an op set (see `ops`): the
-taped float64 wrappers by default, as training and the gradient check run
-them, or the bare kernels on `backbone.as_arrays` of the adapters, as
-extraction (float32) and the probes' replayed trace (float64) run them.
+taped wrappers by default, as training (float32) and the gradient check
+(float64) run them, or the bare kernels on `backbone.as_arrays` of the
+adapters, as extraction (float32) and the probes' replayed trace (float64)
+run them.
 
 serial_adapter_forward_reference splices the same adapters after each
 encoder block with the backbone recorded on the tape. It exists only so

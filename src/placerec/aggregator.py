@@ -10,10 +10,10 @@ keys is order-free, so the descriptor is invariant to any permutation of the
 input token rows.
 
 `project_in`, `decoder_block`, `head` and `aggregate` are written over an
-op set (see `ops`): the taped float64 wrappers by default, as training and
-the gradient check run them, or the bare kernels on `backbone.as_arrays` of
-the params, as extraction (float32) and the probes' replayed trace (float64)
-run them.
+op set (see `ops`): the taped wrappers by default, as training (float32) and
+the gradient check (float64) run them, or the bare kernels on
+`backbone.as_arrays` of the params, as extraction (float32) and the probes'
+replayed trace (float64) run them.
 """
 from __future__ import annotations
 

@@ -8,6 +8,12 @@ leaves. That is the whole memory story of the parallel-adapter design, so
 the tape also keeps per-region byte accounting that tests and the
 memreport command read back.
 
+Tensors are float32 or float64, and an op computes in the dtype of its
+inputs. Training runs its shards in float32: a Param the optimizer owns
+reads as a float32 shadow of its float64 master value, and the tape sends
+its gradient there. Everything else (the gradient check, a model outside an
+optimizer) reads the float64 masters.
+
 A tape is single-use: one forward, one backward, then rebuild.
 """
 from __future__ import annotations
@@ -23,12 +29,14 @@ _uids = itertools.count(1)
 
 
 class Tensor:
-    """Immutable dense float64 array; just shape + data, no grad state."""
+    """Immutable dense array, float32 kept as float32 and anything else as
+    float64; just shape + data, no grad state."""
 
     __slots__ = ("data", "uid")
 
     def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.uid = next(_uids)
 
     @property
@@ -52,16 +60,19 @@ class Param:
 
     Gradients accumulate across backward passes until the optimizer step
     (or zero_grad) clears them. Frozen params are never watched by a tape,
-    so their grad stays identically zero.
+    so their grad stays identically zero. `shadow`, when an optimizer sets
+    it, is a float32 copy of `value` that reads return instead, so the tape
+    computes in float32 while `value` stays the master.
     """
 
-    __slots__ = ("value", "grad", "trainable", "name")
+    __slots__ = ("value", "grad", "trainable", "name", "shadow")
 
     def __init__(self, value, trainable: bool = True, name: str = ""):
         self.value = value if isinstance(value, Tensor) else Tensor(value)
         self.grad = np.zeros_like(self.value.data)
         self.trainable = bool(trainable)
         self.name = name
+        self.shadow = None
 
     @property
     def shape(self):
@@ -72,14 +83,16 @@ class Param:
         return int(self.value.data.size)
 
     def read(self) -> Tensor:
-        """Current value; registers with the active tape when trainable."""
+        """Current value, or its shadow when it has one; registers with the
+        active tape when trainable."""
         if _state.frozen and self.trainable:
             raise FrozenRegionError(
                 f"trainable param {self.name or '<unnamed>'} used inside a frozen region"
             )
+        t = self.value if self.shadow is None else self.shadow
         if _state.tape is not None and not _state.frozen and self.trainable:
-            _state.tape._watched[self.value.uid] = self
-        return self.value
+            _state.tape._watched[t.uid] = self
+        return t
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)

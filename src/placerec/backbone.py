@@ -6,10 +6,12 @@ z_0..z_L come back as constant leaves for the adapter ladder to consume.
 
 `patch_embed`, `encoder_block` and `encode` are written once over an op set
 (see `ops`). The normal frozen forward runs them on the bare kernels in
-float32, on weights cast for each call, inside a frozen region, and upcasts
+float32, on weights cast for each call (`as_arrays` of weights already cast
+costs nothing), inside a frozen region, and for the taped wrappers upcasts
 each layer to a float64 constant, so the tape never sees the encoder's
-interior. The taped float64 wrappers run the same definitions when the
-encoder is recorded, as the serial-adapter reference does.
+interior and the gradient check stays in float64. The taped float64
+wrappers run the same definitions when the encoder is recorded, as the
+serial-adapter reference does.
 """
 from __future__ import annotations
 
@@ -175,8 +177,10 @@ def forward_collect(image, bb: Backbone, frozen: bool = True, op=ops) -> Interme
     frozen=True (the normal mode) runs the encoder on the bare kernels in
     float32 inside a frozen region, one image as a batch of one. `op` is the
     op set that reads the layers: for the taped wrappers (the default) each
-    layer is the exact float64 upcast, marked constant on an active tape;
-    for `Kernels` it is the float32 array as the encoder made it.
+    layer is the exact float64 upcast, marked constant on an active tape, as
+    the gradient check and memreport read it; for `Kernels` it is the
+    float32 array as the encoder made it, as extraction and the training
+    cache keep it.
     frozen=False records the taped float64 encoder under the "backbone"
     region label, which the serial-adapter reference and equivalence tests
     use.
@@ -189,4 +193,4 @@ def forward_collect(image, bb: Backbone, frozen: bool = True, op=ops) -> Interme
         one = x.ndim == 3
         layers = encode(x[None] if one else x, as_arrays(bb, np.float32), Kernels)
         layers = [z[0] if one else z for z in layers]
-        return layers if op is Kernels else [record(z) for z in layers]
+        return layers if op is Kernels else [record(z.astype(np.float64)) for z in layers]

@@ -103,7 +103,7 @@ class FastPipeline:
     param poked in place."""
 
     def __init__(self, model, layers, mining, loss_cfg):
-        layers = [l.data if isinstance(l, Tensor) else np.asarray(l, dtype=np.float64)
+        layers = [np.asarray(l.data if isinstance(l, Tensor) else l, dtype=np.float64)
                   for l in layers]
         if layers[0].ndim != 3:
             raise ValidationError("FastPipeline expects batched (B, n, d) feature stacks")

@@ -6,12 +6,15 @@ carry trainable parameters. Checkpoints echo the full run config, so a model
 file alone reproduces descriptors bit-identically.
 
 `describe_stack` is the one definition of the descriptor, over an op set.
-Training and the gradient check run it on the taped float64 wrappers.
-Extraction runs it on the bare kernels in float32, on the float32 layers the
-encoder made and on a `kernel_model` cast once per extraction; its rows sit
-within ~1e-7 of the float64 ones, the resolution they are stored at. The
-gradient check's probes replay one recorded trace of it on float64 kernels
-(`fasteval`, which this module and it import from each other as modules).
+Training runs it on the taped wrappers in float32: the float32 layers the
+encoder made and the params' float32 shadows (see `training`). The gradient
+check runs it on the taped wrappers in float64: the layers' float64 upcasts
+and the params' float64 values. Extraction runs it on the bare kernels in
+float32, on the float32 layers and on a `kernel_model` cast once per
+extraction; its rows sit within ~1e-7 of the float64 ones, the resolution
+they are stored at. The gradient check's probes replay one recorded trace of
+it on float64 kernels (`fasteval`, which this module and it import from
+each other as modules).
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import numpy as np
 from . import fasteval, fileformats, ops
 from .adapters import build_adapters, lopa_forward
 from .aggregator import Aggregator, aggregate, build_aggregator
-from .autodiff import Param, Tensor
+from .autodiff import Tensor
 from .backbone import Backbone, as_arrays, build_backbone, forward_collect
 from .config import RunConfig, run_config_from_dict
 from .errors import ContractError, DegenerateInputError, FormatError, NumericalError, ShapeError
@@ -100,8 +103,9 @@ def encode_chunks(model: DescriptorModel, data_dir, ids, chunk: int, workers: in
                   label: str) -> list:
     """[use(i, layers) for each chunk ids[i:i + chunk]], in chunk order.
 
-    Each chunk is loaded and encoded in one batched pass (`feature_stack`),
-    and `use` gets its float32 layers. Chunks are dealt round-robin over at
+    Each chunk is loaded and encoded in one batched pass (`feature_stack`,
+    on encoder weights cast to float32 once per call), and `use` gets its
+    float32 layers. Chunks are dealt round-robin over at
     most `workers` processes (fanout.fan_out; one chunk runs here without
     forking), so what use returns is pickled back, and what it writes to a
     fanout.shared_array lands in memory this process reads. The error raised
@@ -109,6 +113,8 @@ def encode_chunks(model: DescriptorModel, data_dir, ids, chunk: int, workers: in
     """
     starts = range(0, len(ids), chunk)
     n = max(1, min(workers, len(starts)))
+    # `as_arrays` leaves arrays as they are, so no pass casts the weights again
+    frozen = replace(model, backbone=as_arrays(model.backbone, np.float32))
 
     def share(k):
         out = []
@@ -116,7 +122,7 @@ def encode_chunks(model: DescriptorModel, data_dir, ids, chunk: int, workers: in
             part = ids[i:i + chunk]
             try:
                 images = stack_images([load_image(data_dir, iid) for iid in part], part)
-                out.append(use(i, feature_stack(model, images, ops.Kernels)))
+                out.append(use(i, feature_stack(frozen, images, ops.Kernels)))
             except Exception as exc:    # fan_out re-raises the serially first one
                 return out, (i, exc)
         return out, None
@@ -124,18 +130,6 @@ def encode_chunks(model: DescriptorModel, data_dir, ids, chunk: int, workers: in
     shares = fan_out(n, share, label)
     # share k holds chunks k, k + n, k + 2n, ...
     return [shares[j % n][j // n] for j in range(len(starts))]
-
-
-def batch_stacks(stacks) -> list:
-    """Stack per-image feature lists (Tensors, or float32 or float64 arrays)
-    into one float64 (B, n, d) tensor per layer."""
-    depth = len(stacks[0])
-    for s in stacks:
-        if len(s) != depth:
-            raise ShapeError(f"feature stacks disagree on depth: {len(s)} vs {depth}")
-    return [Tensor(np.stack([s[l].data if isinstance(s[l], Tensor) else s[l] for s in stacks],
-                            dtype=np.float64))
-            for l in range(depth)]
 
 
 def describe_stack(model: DescriptorModel, stack, op=ops):
@@ -187,7 +181,15 @@ def pipeline_gradcheck(model: DescriptorModel, images, place_ids,
     fixed at the base point: pair selection is piecewise constant in the
     parameters, so within a perturbation of size h the loss restricted to the
     base selection is the differentiable branch being checked.
+
+    The whole check is float64, whatever precision the model trained in: the
+    layers are the encoder's float64 upcasts, the params read their float64
+    values (an optimizer's float32 shadows are refused), and the probes
+    replay on float64 kernels.
     """
+    if any(p.shadow is not None for p in trainable_params(model)):
+        raise ContractError("the params read float32 shadows of an optimizer that still "
+                            "owns them; release it before a gradient check")
     loss_cfg = model.run_cfg.loss
     layers = feature_stack(model, stack_images(images))
     base = describe_stack(model, layers)

@@ -11,7 +11,8 @@ Params, checks its operands, defines the adjoint closure and returns
 zero-byte marker inside a frozen region, nothing with no tape.
 
 Code written over an op set takes it as `op`: this module, whose wrappers
-tape in float64 (training, the gradient check), or `Kernels` on arrays.
+tape in their operands' dtype (float32 in training's shards, float64 in the
+gradient check), or `Kernels` on arrays.
 The frozen encoder (`backbone.forward_collect`) and extraction's describe
 run the kernels in float32; the gradient check's probes replay a recorded
 trace of the whole describe on them in float64 (`fasteval`). Either way it
@@ -429,10 +430,11 @@ def sum_all(x) -> Tensor:
 
 def inner(x, c) -> Tensor:
     """Scalar sum(x * c) against a constant array c of x's shape (no gradient
-    for c). Its gradient in x is exactly c, so a backward sweep from it
-    carries an adjoint c computed elsewhere into x's graph."""
+    for c), with c cast to x's dtype. Its gradient in x is that c, so a
+    backward sweep from it carries an adjoint c computed elsewhere into x's
+    graph, in the graph's precision."""
     x = as_tensor(x)
-    c = np.asarray(c, dtype=np.float64)
+    c = np.asarray(c, dtype=x.data.dtype)
     if c.shape != x.shape:
         raise ShapeError(f"inner shapes differ: {x.shape} and {c.shape}")
     xu = x.uid

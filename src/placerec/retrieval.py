@@ -123,8 +123,8 @@ def extract_descriptors(model: DescriptorModel, manifest: Manifest, data_dir,
     """Descriptors for one split: (ids, (n, D) matrix, place_ids).
 
     Each chunk of images is one batched encoder pass and one describe call,
-    both on the bare kernels in float32. The adapters and the aggregator are
-    cast to float32 once per call, the encoder's weights once per pass.
+    both on the bare kernels in float32. The encoder's weights, the adapters
+    and the aggregator are cast to float32 once per call.
     Chunks are dealt round-robin to one process per CPU (at most one per
     chunk; a one-chunk split runs here without forking), each loading and
     describing its own; the rows come back in manifest order and any error

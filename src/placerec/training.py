@@ -5,20 +5,29 @@ constant feature stacks, encoded once per run before the first step, so a
 step never touches backbone storage. Each step logs one machine-parsable
 key=value line.
 
+Training is mixed precision. The shards run the same definitions as the
+gradient check, on the taped wrappers but in float32: the float32 feature
+cache as the encoder made it, and float32 shadows of the params, with
+float32 gradient rows. The B x B similarity, the mining and the loss run on
+the descriptor rows upcast exactly to float64, and dL/dD goes back to the
+shards in float32. Adam keeps the params' float64 master values and float64
+moments, and rounds each update into the shadows.
+
 Every batch splits into two fixed shards, rows [0, B//2) and [B//2, B),
 each forwarded on its own tape. On two or more CPUs the run is the two
 shares of one fanout.fan_out: this process owns shard 0 and a forked child
 shard 1 for the whole run, in lockstep at fanout.Peer barriers. The two
 share one arena, mapped before the fork: the trainable values as one flat
-buffer (every Param.value a view into it), one gradient row per shard, and
-the gathered descriptor rows. Each writes its shard's descriptor rows, and
-after a barrier both compute the loss on the whole batch and back-propagate
-their own rows into their own gradient row. The Adam step is split between
+buffer (every Param.value a view into it) and its float32 shadow, one
+float32 gradient row per shard, and the gathered descriptor rows. Each
+writes its shard's descriptor rows, and after a barrier both compute the
+loss on the whole batch and back-propagate their own rows into their own
+gradient row. The Adam step is split between
 them (ZeRO stage 1): each adds the peer's gradient to its own on half of the
-scalars, keeps the moments of that half only and updates it in place. On one
-CPU this process owns both shards and steps both halves. Adam is
-elementwise and the gradient is the same sum g0 + g1 either way, so the log
-and the checkpoint do not depend on the CPU count.
+scalars, keeps the moments of that half only and updates it in place, with
+its shadow. On one CPU this process owns both shards and steps both halves.
+Adam is elementwise and the gradient is the same float32 sum g0 + g1 either
+way, so the log and the checkpoint do not depend on the CPU count.
 """
 from __future__ import annotations
 
@@ -34,7 +43,7 @@ from .errors import NumericalError, ValidationError
 from .fanout import PeerLost, PeerPipes, fan_out, shared_array
 from .fanout import workers as _workers
 from .loss import LossConfig, mine_pairs, ms_loss, similarity_matrix
-from .model import DescriptorModel, batch_stacks, describe_stack, encode_chunks, trainable_params
+from .model import DescriptorModel, describe_stack, encode_chunks, trainable_params
 from .ops import inner
 from .synth import BatchSampler, Manifest
 
@@ -48,14 +57,17 @@ FILL_CHUNK = 8
 class Adam:
     """Adam over one flat buffer of every trainable scalar.
 
-    Each param's value and grad are views into the flat `values` and `grad`:
-    new private buffers, or those given. step() consumes and clears
-    grad, and updates the scalars of `part` in place: all of them, or after
-    split() one half. The moments cover `part` only.
+    Each param's value, shadow and grad are views into the flat float64
+    `values`, float32 `shadow` and float32 `grad`: new private buffers, or
+    those given. step() consumes and clears grad, and updates the scalars of
+    `part` in place: all of them, or after split() one half. The moments
+    cover `part` only and, like the values, are float64; the shadow of
+    `part` is rounded from the new values.
     """
 
     def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, values=None, grad=None):
+                 beta2: float = 0.999, eps: float = 1e-8, values=None, grad=None,
+                 shadow=None):
         self.params = [p for p in params if p.trainable]
         if not self.params:
             raise ValidationError("optimizer has no trainable params")
@@ -67,11 +79,14 @@ class Adam:
         self.peer_grad = None
         self.m = self.v = self._work = None     # made at the first step, for `part`
         self.values = np.empty(n) if values is None else values
-        self.grad = np.empty(n) if grad is None else grad
-        for p, value, g in zip(self.params, self._views(self.values), self._views(self.grad)):
+        self.shadow = np.empty(n, np.float32) if shadow is None else shadow
+        self.grad = np.empty(n, np.float32) if grad is None else grad
+        for p, value, low, g in zip(self.params, self._views(self.values),
+                                    self._views(self.shadow), self._views(self.grad)):
             value[...] = p.value.data
+            low[...] = value
             g[...] = p.grad
-            p.value, p.grad = Tensor(value), g
+            p.value, p.shadow, p.grad = Tensor(value), Tensor(low), g
 
     def _views(self, flat: np.ndarray) -> list:
         """Per param, the view of its scalars in a flat buffer."""
@@ -81,11 +96,11 @@ class Adam:
     def split(self, grads: np.ndarray, rank: int) -> None:
         """Share the steps with the other process of a pair, before the first.
 
-        grads is a zeroed (2, n) array that both processes map, as they map
-        `values`. This process accumulates into grads[rank] and owns half
-        `rank` of the scalars (cut at n // 2): step() adds the peer's row on
-        that half and updates it, and the moments of that half are all it
-        keeps.
+        grads is a zeroed float32 (2, n) array that both processes map, as
+        they map `values` and `shadow`. This process accumulates into
+        grads[rank] and owns half `rank` of the scalars (cut at n // 2):
+        step() adds the peer's row on that half and updates it, and the
+        moments of that half are all it keeps.
         """
         n = self.values.size
         self.part = slice(0, n // 2) if rank == 0 else slice(n // 2, n)
@@ -94,18 +109,20 @@ class Adam:
         self.grad, self.peer_grad = grads[rank], grads[1 - rank]
 
     def release(self) -> None:
-        """Give every param a private copy of its value and grad."""
+        """Give every param a private copy of its value and a float64 grad,
+        and drop its shadow: reads return the float64 value again."""
         for p in self.params:
             p.value = Tensor(p.value.data.copy())
-            p.grad = p.grad.copy()
+            p.grad = p.grad.astype(np.float64)
+            p.shadow = None
 
     def step(self, peer=None) -> None:
         """One update from the summed gradient, which it then clears.
 
         With a peer (a fanout.Peer, after split) a barrier comes first, once
         both gradient rows are complete, and another after the update, once
-        both halves of the values are new and neither process reads the
-        other's gradient row any more.
+        both halves of the values and the shadow are new and neither process
+        reads the other's gradient row any more.
         """
         if peer is not None:
             peer.barrier()
@@ -119,12 +136,13 @@ class Adam:
         if self.peer_grad is not None:
             g += self.peer_grad[self.part]      # g0 + g1, as one process sums them
         # m += (1 - beta1)(g - m); v += (1 - beta2)(g^2 - v);
-        # values -= lr (m / c1) / (sqrt(v / c2) + eps), in two scratch arrays
+        # values -= lr (m / c1) / (sqrt(v / c2) + eps), in two float64 scratch
+        # arrays; the float32 g is read exactly, and squared in float64
         a, b = self._work
         np.subtract(g, m, out=a)
         a *= 1.0 - self.beta1
         m += a
-        np.multiply(g, g, out=a)
+        np.multiply(g, g, out=a, dtype=np.float64)
         a -= v
         a *= 1.0 - self.beta2
         v += a
@@ -135,6 +153,7 @@ class Adam:
         b /= a
         b *= self.lr
         self.values[self.part] -= b
+        self.shadow[self.part] = self.values[self.part]
         if peer is not None:
             peer.barrier()
         self.grad.fill(0.0)
@@ -170,13 +189,15 @@ def train_step(model: DescriptorModel, stacks, place_ids,
                loss_cfg: LossConfig, opt: Adam, peer=None, desc=None) -> StepResult:
     """One update: descriptors -> mine -> loss -> backward -> Adam.
 
-    stacks: per-image constant feature stacks (lists of (n, d) arrays), one
-    per batch row, or with a peer (a fanout.Peer) only those of the rows of
-    shard peer.rank, which the peer's process does not forward. place_ids
-    covers the whole batch. With a peer, desc is the (B, D) array both
-    processes map and opt has been split: each writes its shard's rows, and
-    after a barrier both compute the same loss and take their halves of the
-    same step. A non-finite loss aborts before any parameter moves.
+    stacks: per-image constant feature stacks, (layer, n, d) arrays or lists
+    of (n, d) arrays, one per batch row, or with a peer (a fanout.Peer) only
+    those of the rows of shard peer.rank, which the peer's process does not
+    forward. A shard computes in their dtype: float32 from the Trainer's
+    cache. place_ids covers the whole batch. With a peer, desc is the
+    float64 (B, D) array both processes map and opt has been split: each
+    writes its shard's rows, and after a barrier both compute the same loss
+    and take their halves of the same step. A non-finite loss aborts before
+    any parameter moves.
     """
     b = len(place_ids)
     parts = shards(b)
@@ -188,15 +209,17 @@ def train_step(model: DescriptorModel, stacks, place_ids,
     for rows in own:
         if rows.stop == rows.start:
             continue
+        # one gather of the shard's rows, layer-major: (B, n, d) per layer
+        layers = list(np.stack(stacks[rows.start - first:rows.stop - first], axis=1))
         tape = Tape()
         with tape:
-            d = describe_stack(model, batch_stacks(stacks[rows.start - first:rows.stop - first]))
-        desc[rows] = d.data
+            d = describe_stack(model, layers)
+        desc[rows] = d.data                      # an exact upcast to float64
         taped.append((rows, tape, d))
     if peer is not None:
         peer.barrier()                           # the peer's rows are in desc
 
-    # the gathered descriptors are a leaf: its gradient is dL/dD
+    # the gathered float64 descriptors are a leaf: its gradient is dL/dD
     leaf = Param(desc, name="descriptors")
     tape = Tape()
     with tape:
@@ -211,7 +234,8 @@ def train_step(model: DescriptorModel, stacks, place_ids,
     # zero, so the sweeps are skipped; Adam still steps (its moments decay)
     if mining.kept_pos or mining.kept_neg:
         tape.backward(loss)
-        # each shard's sweep adds its rows' share to Param.grad: g0, then g1
+        # each shard's sweep adds its rows' share to Param.grad: g0, then g1;
+        # `inner` casts dL/dD to the shard's float32
         for rows, shard_tape, d in taped:
             with shard_tape:
                 root = inner(d, leaf.grad[rows])
@@ -240,7 +264,8 @@ class Trainer:
         They go into one float32 (image, layer, token, width) array in shared
         memory, encoded in chunks dealt over the CPUs, each written straight
         into it as the encoder made it; a replica forked later reads the
-        same pages. batch_stacks upcasts them to float64, exactly.
+        same pages. Each image's entry is its (layer, token, width) view of
+        that array, which a shard gathers from as it is.
         """
         todo = [i for i in dict.fromkeys(image_ids) if i not in self._cache]
         if not todo:
@@ -254,8 +279,7 @@ class Trainer:
 
         encode_chunks(self.model, self.data_dir, todo, FILL_CHUNK, _workers(), write,
                       "Trainer.fill: chunk worker")
-        for image_id, stack in zip(todo, cache):
-            self._cache[image_id] = list(stack)
+        self._cache.update(zip(todo, cache))
 
     def stack_for(self, image_id: str):
         return self._cache[image_id]
@@ -284,12 +308,14 @@ class Trainer:
                 return history
             finally:
                 opt.release()
-        # the arena: values, two gradient rows, and descriptor rows for the
-        # largest batch, (P + 1) x K when a leftover place joins the last one
+        # the arena: values and descriptor rows for the largest batch,
+        # (P + 1) x K when a leftover place joins the last one, in float64;
+        # the shadow and two gradient rows in float32
         n, dim = sum(p.size for p in params), self.model.descriptor_dim
-        arena = shared_array((3 * n + (cfg.p + 1) * cfg.k * dim,))
-        grads, desc = arena[n:3 * n].reshape(2, n), arena[3 * n:].reshape(-1, dim)
-        opt = Adam(params, lr=cfg.lr, values=arena[:n], grad=grads[0])
+        arena = shared_array((n + (cfg.p + 1) * cfg.k * dim,))
+        low = shared_array((3, n), np.float32)
+        grads, desc = low[1:], arena[n:].reshape(-1, dim)
+        opt = Adam(params, lr=cfg.lr, values=arena[:n], grad=grads[0], shadow=low[0])
 
         def share(rank):
             if rank == 1:

@@ -22,6 +22,33 @@ def tiny_run_config():
     })
 
 
+@pytest.fixture
+def recorded_dtypes(monkeypatch):
+    """A list that logs (tape, "op", dtype) for every op recorded through
+    `ops`, `loss` and `backbone`, and (tape, "grad", dtype) for every
+    gradient an op's adjoint adds; tape is None for an untaped op."""
+    from placerec import autodiff, backbone, loss, ops
+
+    seen = []
+
+    def watched(record):
+        def rec(data, bwd=None, saves=()):
+            tape = autodiff._state.tape
+
+            def sweep(g, acc):
+                bwd(g, lambda uid, delta: (seen.append((tape, "grad", delta.dtype)),
+                                           acc(uid, delta)))
+
+            out = record(data, bwd and sweep, saves)
+            seen.append((tape, "op", out.data.dtype))
+            return out
+        return rec
+
+    for module in (ops, loss, backbone):
+        monkeypatch.setattr(module, "record", watched(module.record))
+    return seen
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_child_process():
     """Fail a test after which a forked child is still running or unreaped."""

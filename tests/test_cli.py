@@ -262,6 +262,37 @@ def test_train_lr_beyond_ceiling_exits_1(ws, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("loss", [{"alpha": 1e-300}, {"beta": 1e6}], ids=["alpha", "beta"])
+def test_one_step_train_at_loss_extremes(ws, tmp_path, capsys, monkeypatch, loss):
+    """The loss runs in float64 on the float32 shards' descriptors: at the
+    schema's smallest alpha and at a large beta, a one-step run logs a
+    finite loss with finite float32 gradient rows, or ends with exactly one
+    error line."""
+    from placerec import training
+
+    rows, step = [], training.Adam.step
+
+    def checked(opt, peer=None):
+        rows.append((opt.grad.dtype, bool(np.isfinite(opt.grad).all())))
+        return step(opt, peer)
+
+    monkeypatch.setattr(training.Adam, "step", checked)
+    monkeypatch.setattr(training, "_workers", lambda: 1)    # one process sees every row
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**TINY_RUN, "loss": loss,
+                               "train": {"epochs": 1, "P": 6, "K": 2}}))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg), "--data", ws["data"], "--out", str(out)])
+    captured = capsys.readouterr()
+    if rc == 0:
+        (line,) = (out / "train.log").read_text().splitlines()
+        assert np.isfinite(float(dict(kv.split("=") for kv in line.split())["loss"]))
+        assert rows == [(np.dtype(np.float32), True)]
+    else:
+        _one_error_line(captured.err)
+
+
 @pytest.mark.parametrize("key,literal", [("noise_std", "NaN"),
                                          ("brightness_range", "[0.9, Infinity]")])
 def test_synth_non_finite_perturbation_exits_1(tmp_path, capsys, key, literal):

@@ -117,6 +117,40 @@ def test_workers_give_the_serial_pipeline_report(monkeypatch, tiny_run_config, r
     assert one.max_rel_err == three.max_rel_err
 
 
+def test_pipeline_check_stays_float64_after_float32_training(tiny_run_config, rng,
+                                                             recorded_dtypes):
+    """A model trained on float32 shards is checked in float64: every op the
+    check records, taped or not, and every gradient its analytic sweep adds.
+    While an optimizer still shadows the params, the check is refused."""
+    from placerec.errors import ContractError
+    from placerec.loss import LossConfig
+    from placerec.model import (build_model, feature_stack, pipeline_gradcheck, stack_images,
+                                trainable_params)
+    from placerec.ops import Kernels
+    from placerec.training import Adam, train_step
+
+    model = build_model(tiny_run_config)
+    images = [rng.normal(size=(8, 8, 1)) for _ in range(8)]
+    pids = [0, 0, 1, 1, 2, 2, 3, 3]
+    stacks = list(np.stack(feature_stack(model, stack_images(images), Kernels), axis=1))
+    opt = Adam(trainable_params(model), lr=1e-3)
+    for _ in range(3):
+        train_step(model, stacks, pids, LossConfig(), opt)
+    assert {dt for _, kind, dt in recorded_dtypes if kind == "grad"} == {np.dtype(np.float32),
+                                                                        np.dtype(np.float64)}
+    with pytest.raises(ContractError, match="release it"):
+        pipeline_gradcheck(model, images, pids)
+    opt.release()
+
+    recorded_dtypes.clear()
+    report = pipeline_gradcheck(model, images, pids)
+    assert report.ok and report.checked == sum(p.size for p in trainable_params(model))
+    assert {tape is None for tape, _, _ in recorded_dtypes} == {True, False}
+    assert {(kind, dt) for _, kind, dt in recorded_dtypes} == {("op", np.dtype(np.float64)),
+                                                               ("grad", np.dtype(np.float64))}
+    assert all(p.grad.dtype == np.float64 for p in trainable_params(model))
+
+
 def test_workers_report_failures_in_serial_order(monkeypatch, rng):
     a = Param(rng.normal(size=(3, 4)), name="a")
     b = Param(rng.normal(size=(4, 2)), name="b")

@@ -3,11 +3,10 @@ import numpy as np
 import pytest
 
 from placerec.config import RunConfig, run_config_from_dict
-from placerec.errors import ContractError, FormatError, ShapeError
+from placerec.errors import ContractError, FormatError
 from placerec.fileformats import read_checkpoint, write_checkpoint
 from placerec.model import (
     all_params,
-    batch_stacks,
     build_model,
     describe_stack,
     feature_stack,
@@ -115,17 +114,6 @@ def test_load_rejects_shape_mismatch(tmp_path, model):
         load_model(path)
 
 
-def test_batch_stacks_matches_single(model, rng):
-    imgs = _images(rng, model.run_cfg, 4)
-    stacks = [feature_stack(model, im) for im in imgs]
-    layers = batch_stacks(stacks)
-    assert len(layers) == len(stacks[0])
-    batched = describe_stack(model, layers).data
-    for i, s in enumerate(stacks):
-        single = describe_stack(model, s).data
-        np.testing.assert_allclose(batched[i], single, atol=1e-12)
-
-
 def _index_model(rng, **aggregator):
     """The index benchmark's config (the defaults), with the adapters'
     zero-initialized up-projections moved so the ladder is not the identity."""
@@ -160,14 +148,6 @@ def test_float32_describe_stays_within_1e6_of_float64(rng):
                          Kernels)
     assert got.dtype == np.float32
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
-
-
-def test_batch_stacks_depth_mismatch(model, rng):
-    imgs = _images(rng, model.run_cfg, 2)
-    stacks = [feature_stack(model, im) for im in imgs]
-    stacks[1] = stacks[1][:-1]
-    with pytest.raises(ShapeError, match="depth"):
-        batch_stacks(stacks)
 
 
 def test_descriptor_grads_skip_encoder(model, rng):

@@ -10,19 +10,20 @@ from placerec import fanout, training
 from placerec.errors import NumericalError, ValidationError
 from placerec.fanout import PeerPipes, fan_out, shared_array
 from placerec.gradcheck import grad_check
-from placerec.model import all_params, batch_stacks, build_model, feature_stack, trainable_params
+from placerec.model import all_params, build_model, feature_stack, trainable_params
 from placerec.ops import matmul, sum_all
 from placerec.training import Adam, StepResult, Trainer, epoch_mean_loss, lr_at, train_step
 from placerec.loss import LossConfig
 
 
 def reference_adam(values, grads_seq, lr, b1=0.9, b2=0.999, eps=1e-8):
-    """Straight textbook Adam, no in-place tricks; returns final values."""
+    """Straight textbook Adam in float64, no in-place tricks; returns final values."""
     v = [x.copy() for x in values]
     m = [np.zeros_like(x) for x in values]
     s = [np.zeros_like(x) for x in values]
     for t, grads in enumerate(grads_seq, start=1):
         for i, g in enumerate(grads):
+            g = np.asarray(g, dtype=np.float64)
             m[i] = b1 * m[i] + (1 - b1) * g
             s[i] = b2 * s[i] + (1 - b2) * g * g
             mhat = m[i] / (1 - b1 ** t)
@@ -47,13 +48,28 @@ def test_adam_matches_reference(rng):
     np.testing.assert_allclose(p.value.data, expect, atol=1e-12)
 
 
+def test_adam_moments_take_the_float32_gradient_exactly():
+    """The gradient row is float32, the moments float64: g * g is formed in
+    float64, where float32 would round it."""
+    p = Param(np.zeros(1), name="p")
+    opt = Adam([p], lr=0.1)
+    g = np.float32(1 + 2 ** -12)                 # g * g needs 25 bits
+    p.grad[:] = g
+    opt.step()
+    g64 = np.float64(g)
+    assert opt.m[0] == (1 - 0.9) * g64
+    assert opt.v[0] == g64 * g64 * (1 - 0.999) != np.float64(g * g) * (1 - 0.999)
+
+
 def test_split_adam_equals_the_whole_buffer_step(rng):
     """Two processes, each stepping its half of the flat scalars, end with the
-    values of one process stepping all of them, bit for bit. 9 scalars: the
-    cut at 4 falls inside the second tensor."""
+    values and float32 shadow of one process stepping all of them, bit for
+    bit. 9 scalars: the cut at 4 falls inside the second tensor. The
+    gradient rows are float32, as a shard's sweep makes them."""
     shapes = [(3,), (2, 3)]
     init = [rng.normal(size=s) for s in shapes]
-    g0s, g1s = ([[rng.normal(size=s) for s in shapes] for _ in range(5)] for _ in range(2))
+    g0s, g1s = ([[rng.normal(size=s).astype(np.float32) for s in shapes] for _ in range(5)]
+                for _ in range(2))
 
     params = [Param(x.copy(), name=f"p{i}") for i, x in enumerate(init)]
     opt = Adam(params, lr=0.01)
@@ -62,11 +78,12 @@ def test_split_adam_equals_the_whole_buffer_step(rng):
             p.grad += a
             p.grad += b
         opt.step()
-    whole = opt.values.copy()
+    whole, whole_shadow = opt.values.copy(), opt.shadow.copy()
 
     params = [Param(x.copy(), name=f"p{i}") for i, x in enumerate(init)]
-    values, grads = shared_array((9,)), shared_array((2, 9))
-    opt = Adam(params, lr=0.01, values=values, grad=grads[0])
+    values, shadow = shared_array((9,)), shared_array((9,), np.float32)
+    grads = shared_array((2, 9), np.float32)
+    opt = Adam(params, lr=0.01, values=values, grad=grads[0], shadow=shadow)
 
     def share(rank):
         with pipes.peer(rank) as peer:
@@ -80,6 +97,7 @@ def test_split_adam_equals_the_whole_buffer_step(rng):
     with PeerPipes() as pipes:
         assert fan_out(2, share, "test replica") == [(4, 4), (5, 5)]
     assert values.tobytes() == whole.tobytes()
+    assert shadow.tobytes() == whole_shadow.tobytes() == values.astype(np.float32).tobytes()
     expect = reference_adam(init, [[a + b for a, b in zip(g0, g1)] for g0, g1 in zip(g0s, g1s)],
                             lr=0.01)
     np.testing.assert_allclose(values, np.concatenate([e.ravel() for e in expect]), atol=1e-12)
@@ -257,24 +275,39 @@ def test_trainer_cache_fill_is_batched_and_bit_identical(tiny_run_config, tmp_pa
     assert calls == [3, len(ids) - 3]
 
 
-def test_trainer_cache_holds_float32_and_batch_stacks_upcasts(tiny_run_config, tmp_path):
-    from placerec.synth import Perturbation, SynthConfig, generate, load_image
+def test_a_step_tapes_shards_in_float32_and_the_loss_in_float64(tiny_run_config, tmp_path,
+                                                                recorded_dtypes):
+    """One step from the Trainer's float32 cache: every op a shard's tape
+    records, and every gradient its sweep adds, is float32; the similarity
+    and the loss are float64, and so are the params' masters and Adam's
+    moments, with float32 shadows and gradient rows beside them."""
+    from placerec.synth import Perturbation, SynthConfig, generate
 
-    scfg = SynthConfig(places=2, views_per_place=4, image_size=8,
+    scfg = SynthConfig(places=4, views_per_place=4, image_size=8,
                        perturbation=Perturbation(), seed=1)
     manifest = generate(scfg, tmp_path)
     model = build_model(tiny_run_config)
     trainer = Trainer(model, manifest, tmp_path, LossConfig(), tiny_run_config.train, log=None)
-    ids = [r.image_id for r in manifest.split_rows("train")][:3]
-    trainer.fill(ids)
-    cached = [trainer.stack_for(i) for i in ids]
-    assert all(z.dtype == np.float32 for s in cached for z in s)
-    layers = batch_stacks(cached)
-    for l, z in enumerate(layers):
-        assert z.data.dtype == np.float64
-        for j, image_id in enumerate(ids):
-            single = feature_stack(model, load_image(tmp_path, image_id))[l]
-            np.testing.assert_array_equal(z.data[j], single.data)
+    rows = manifest.split_rows("train")[:8]
+    trainer.fill([r.image_id for r in rows])
+    stacks = [trainer.stack_for(r.image_id) for r in rows]
+    assert all(s.dtype == np.float32 for s in stacks)
+
+    opt = Adam(trainable_params(model), lr=1e-3)
+    res = train_step(model, stacks, [r.place_id for r in rows], LossConfig(), opt)
+    assert res.kept_pos and res.kept_neg
+
+    seen = recorded_dtypes
+    tapes = list(dict.fromkeys(tape for tape, _, _ in seen))
+    assert len(tapes) == 3 and None not in tapes     # two shards, then the loss
+    for tape, dtype in zip(tapes, (np.float32, np.float32, np.float64)):
+        kinds = {(kind, dt) for t, kind, dt in seen if t is tape}
+        assert kinds == {("op", np.dtype(dtype)), ("grad", np.dtype(dtype))}
+    assert opt.grad.dtype == opt.shadow.dtype == np.float32
+    assert opt.values.dtype == opt.m.dtype == opt.v.dtype == np.float64
+    for p in trainable_params(model):
+        assert p.value.data.dtype == np.float64 and p.grad.dtype == np.float32
+        assert p.read().data.tobytes() == p.value.data.astype(np.float32).tobytes()
 
 
 def _failing_pair(tiny_run_config, tmp_path, monkeypatch, error):
